@@ -6,7 +6,7 @@
 #   --skip-lint  omit the lint stage (CI runs it in a separate fast job)
 #   stage ...    run only the named stages (build test chaos obs
 #                concurrency serve cluster recovery latency script
-#                bench_gate perf lint); default is all of them.
+#                bench_gate perf perfbench lint); default is all of them.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -188,12 +188,21 @@ stage_perf() {
     ./target/release/perf_stress BENCH_pr6.json ci/BENCH_baseline.json
 }
 
+# Perfbench stage: the end-to-end benchmark's own tests, then a short
+# `cluster` run. perfbench exits non-zero when a batch's digest differs
+# from the 1-node digest, or when a round ends with an orphaned replica
+# or a move still pending; its timings are informational here.
+stage_perfbench() {
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    python3 perfbench/run.py --workload cluster --seed 42 --seconds 2 --trace 0
+}
+
 stage_lint() {
     cargo clippy --all-targets -- -D warnings
     cargo fmt --check
 }
 
-ALL_STAGES=(build test chaos obs concurrency serve cluster recovery latency script bench_gate perf lint)
+ALL_STAGES=(build test chaos obs concurrency serve cluster recovery latency script bench_gate perf perfbench lint)
 SKIP_LINT=0
 REQUESTED=()
 for arg in "$@"; do
@@ -211,7 +220,7 @@ for stage in "${REQUESTED[@]}"; do
         continue
     fi
     case "$stage" in
-        build|test|chaos|obs|concurrency|serve|cluster|recovery|latency|script|bench_gate|perf|lint)
+        build|test|chaos|obs|concurrency|serve|cluster|recovery|latency|script|bench_gate|perf|perfbench|lint)
             run_stage "$stage" "stage_$stage" ;;
         *)
             echo "ci: unknown stage '$stage' (known: ${ALL_STAGES[*]})" >&2

@@ -517,6 +517,16 @@ impl ClusterCache {
             let reps = m.replicas.remove(&key).unwrap_or_default();
             if m.nodes.contains_key(&owner) {
                 m.directory.insert(key, owner);
+                // The owner was picked under the membership at claim
+                // time; a join since then may have moved the HRW winner.
+                // Epochs do not scan the directory, so queue the move
+                // here.
+                if owner_of(self.cfg.seed, &m.members, key.content_hash()) != Some(owner) {
+                    m.pending.push(PendingMove {
+                        key,
+                        src: MoveSrc::Node(owner),
+                    });
+                }
             } else {
                 // The owner left while the compute was in flight: stage
                 // the result so the next epoch re-homes it. Waiters
@@ -594,22 +604,40 @@ impl ClusterCache {
         }
     }
 
+    /// Directory entries not on their HRW winner and not yet queued —
+    /// the moves a full directory scan would add.
+    fn misplaced_unqueued_moves(cfg: &ClusterConfig, m: &Meta) -> Vec<PendingMove> {
+        let queued: HashSet<LineageId> = m.pending.iter().map(|p| p.key).collect();
+        m.directory
+            .iter()
+            .filter(|&(key, &loc)| {
+                !queued.contains(key)
+                    && owner_of(cfg.seed, &m.members, key.content_hash()) != Some(loc)
+            })
+            .map(|(&key, &loc)| PendingMove {
+                key,
+                src: MoveSrc::Node(loc),
+            })
+            .collect()
+    }
+
     /// Queues a move for every directory entry no longer sitting on its
     /// HRW winner. Keys already queued are not re-queued; staged
-    /// entries keep their payload.
+    /// entries keep their payload. Only a membership change needs this
+    /// O(directory) scan: placement is a pure function of
+    /// `(seed, members, key)`, and the one other way an entry lands
+    /// off its winner — an admission claimed under an older membership
+    /// — is queued by [`complete_from`](Self::complete_from).
     fn refresh_pending(cfg: &ClusterConfig, m: &mut Meta) {
-        let queued: HashSet<LineageId> = m.pending.iter().map(|p| p.key).collect();
-        for (&key, &loc) in &m.directory {
-            if queued.contains(&key) {
-                continue;
-            }
-            if owner_of(cfg.seed, &m.members, key.content_hash()) != Some(loc) {
-                m.pending.push(PendingMove {
-                    key,
-                    src: MoveSrc::Node(loc),
-                });
-            }
-        }
+        let moves = Self::misplaced_unqueued_moves(cfg, m);
+        m.pending.extend(moves);
+    }
+
+    /// Invariant audit for tests: directory entries sitting off their
+    /// HRW winner with no queued move. Every public operation keeps
+    /// this at zero.
+    pub fn misplaced_unqueued(&self) -> usize {
+        Self::misplaced_unqueued_moves(&self.cfg, &self.meta.lock()).len()
     }
 
     /// Adds a node to the membership. Only keys whose HRW winner
@@ -681,11 +709,15 @@ impl ClusterCache {
     /// One rebalance epoch: drains up to `rebalance_moves` queued moves
     /// in deterministic order (by content hash), each paying a transfer,
     /// then refreshes hot-item replica placement. Returns the number of
-    /// primaries moved.
+    /// primaries moved. Costs O(pending + heat): misplaced entries are
+    /// queued where they arise, never found by scanning the directory.
     pub fn rebalance_epoch(&self) -> u64 {
         let _span = memphis_obs::span(memphis_obs::cat::CLUSTER, "rebalance");
         let mut m = self.meta.lock();
-        Self::refresh_pending(&self.cfg, &mut m);
+        debug_assert!(
+            Self::misplaced_unqueued_moves(&self.cfg, &m).is_empty(),
+            "a misplaced directory entry has no queued move"
+        );
         let mut queue = std::mem::take(&mut m.pending);
         queue.sort_by_key(|p| p.key.content_hash());
 
@@ -755,8 +787,9 @@ impl ClusterCache {
                     } else {
                         // Destination refused admission: the entry stays
                         // where it is (directory unchanged) and the move
-                        // is abandoned, not retried forever.
+                        // stays queued, so the next epoch retries it.
                         ClusterStats::inc(&self.stats.rebalance_drops);
+                        rest.push(p);
                     }
                 }
                 MoveSrc::Staged(entry) => {
@@ -817,8 +850,18 @@ impl ClusterCache {
             .filter(|(k, &c)| c >= self.cfg.hot_min_probes && m.directory.contains_key(k))
             .map(|(k, &c)| (c, k.content_hash(), *k))
             .collect();
-        hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        hot.truncate(self.cfg.hot_k);
+        // Heat descending, content hash ascending: a strict total order
+        // (content hashes are unique), so selecting the top k and then
+        // sorting only those equals sorting everything.
+        let hotter = |a: &(u64, u64, LineageId), b: &(u64, u64, LineageId)| {
+            b.0.cmp(&a.0).then(a.1.cmp(&b.1))
+        };
+        let k = self.cfg.hot_k;
+        if k > 0 && hot.len() > k {
+            hot.select_nth_unstable_by(k - 1, hotter);
+        }
+        hot.truncate(k);
+        hot.sort_unstable_by(hotter);
         let hot_keys: HashSet<LineageId> = hot.iter().map(|h| h.2).collect();
 
         // Cooled off: drop every copy of keys that fell out of the set.

@@ -45,7 +45,9 @@ pub struct ClusterStats {
     pub transfer_bytes: AtomicU64,
     /// Primary entries migrated by rebalance epochs.
     pub rebalance_moves: AtomicU64,
-    /// Pending moves dropped because the destination refused admission.
+    /// Move attempts that moved nothing: the source had evicted the
+    /// entry, a staged entry found no room, or the destination refused
+    /// a resident entry (that move stays queued for the next epoch).
     pub rebalance_drops: AtomicU64,
     /// Replica copies placed on rank-order nodes.
     pub replicas_placed: AtomicU64,

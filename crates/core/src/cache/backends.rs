@@ -521,10 +521,18 @@ impl CacheBackend for DiskBackend {
             let Some(e) = shard.entries.get(&key) else {
                 return Materialized::Stale;
             };
-            let Some(CachedObject::Disk(hash)) = e.object else {
-                return Materialized::Stale;
-            };
-            (hash, e.size)
+            match &e.object {
+                Some(CachedObject::Disk(hash)) => (*hash, e.size),
+                // A concurrent probe promoted the entry to the local tier
+                // after our caller saw it on this tier. The promotion is
+                // the hit; reporting Stale would drop the promoted entry
+                // and recompute a durable result.
+                Some(CachedObject::Matrix(m)) => {
+                    ReuseStats::inc(&self.stats.hits_disk);
+                    return Materialized::Hit(CachedObject::Matrix(m.clone()));
+                }
+                _ => return Materialized::Stale,
+            }
         };
         // A checksum rejection inside `read` tombstones the record and
         // returns nothing: the probe sees Stale, drops the entry cleanly,

@@ -1437,6 +1437,30 @@ mod tests {
     }
 
     #[test]
+    fn disk_read_after_a_concurrent_promotion_is_a_hit() {
+        // Two probers see the same entry on the disk tier; the first
+        // promotes it to local memory before the second reaches the disk
+        // backend. The second must be served the promoted copy: a Stale
+        // verdict would drop the entry and recompute a durable result.
+        let c = cache_kb(12);
+        let m1 = rand_uniform(32, 32, 0.0, 1.0, 1); // 8 KB
+        let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
+        let i1 = item("m1");
+        c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+        c.probe(&i1).expect("hit");
+        c.put(&item("m2"), mat(&m2), 100.0, m2.size_bytes(), 1);
+        assert_eq!(c.stats().local_spills, 1);
+        c.probe(&i1).expect("disk hit promotes");
+
+        let disk = c.registry().get(BackendId::Disk).unwrap();
+        match disk.materialize(&c.map, c.registry(), i1.lid) {
+            Materialized::Hit(CachedObject::Matrix(got)) => assert!(got.approx_eq(&m1, 0.0)),
+            other => panic!("promoted entry not served: {other:?}"),
+        }
+        assert!(c.probe(&i1).is_some(), "the promoted entry survives");
+    }
+
+    #[test]
     fn oversized_object_not_cached() {
         let c = cache_kb(1);
         let m = rand_uniform(64, 64, 0.0, 1.0, 3); // 32 KB > 1 KB budget

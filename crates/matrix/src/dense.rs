@@ -2,7 +2,7 @@
 
 use crate::error::{MatrixError, Result};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -15,6 +15,9 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Arc<Vec<f64>>,
+    /// Memoised [`fingerprint`](Self::fingerprint); cleared by every
+    /// mutator.
+    fp: OnceLock<u64>,
 }
 
 impl Matrix {
@@ -30,29 +33,27 @@ impl Matrix {
                 cols
             )));
         }
-        Ok(Self {
+        Ok(Self::from_parts(rows, cols, data))
+    }
+
+    /// Wraps a buffer already checked to hold `rows * cols` values.
+    fn from_parts(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        Self {
             rows,
             cols,
             data: Arc::new(data),
-        })
+            fp: OnceLock::new(),
+        }
     }
 
     /// Creates an all-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: Arc::new(vec![0.0; rows * cols]),
-        }
+        Self::from_parts(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Creates a matrix with every cell set to `value`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Self {
-            rows,
-            cols,
-            data: Arc::new(vec![value; rows * cols]),
-        }
+        Self::from_parts(rows, cols, vec![value; rows * cols])
     }
 
     /// Creates an identity matrix of size `n`.
@@ -61,11 +62,7 @@ impl Matrix {
         for i in 0..n {
             data[i * n + i] = 1.0;
         }
-        Self {
-            rows: n,
-            cols: n,
-            data: Arc::new(data),
-        }
+        Self::from_parts(n, n, data)
     }
 
     /// Creates a single-cell matrix holding a scalar.
@@ -75,20 +72,12 @@ impl Matrix {
 
     /// Creates a column vector from a slice.
     pub fn col_vector(values: &[f64]) -> Self {
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data: Arc::new(values.to_vec()),
-        }
+        Self::from_parts(values.len(), 1, values.to_vec())
     }
 
     /// Creates a row vector from a slice.
     pub fn row_vector(values: &[f64]) -> Self {
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data: Arc::new(values.to_vec()),
-        }
+        Self::from_parts(1, values.len(), values.to_vec())
     }
 
     /// Generates the sequence `from, from+incr, ...` up to (and including)
@@ -179,6 +168,7 @@ impl Matrix {
     /// Mutable access to the value buffer, cloning it first if shared
     /// (copy-on-write).
     pub fn values_mut(&mut self) -> &mut [f64] {
+        self.fp = OnceLock::new();
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
@@ -192,6 +182,7 @@ impl Matrix {
             });
         }
         let cols = self.cols;
+        self.fp = OnceLock::new();
         Arc::make_mut(&mut self.data)[r * cols + c] = v;
         Ok(())
     }
@@ -223,31 +214,33 @@ impl Matrix {
     /// A stable 64-bit content fingerprint (shape + bit pattern of values).
     ///
     /// Used by the simulated backends to key prediction caches and to check
-    /// result equivalence across execution paths.
+    /// result equivalence across execution paths. The value is computed
+    /// once per matrix and memoised, so every reader of a shared
+    /// `Arc<Matrix>` (each cache hit serving it) pays one pass in total;
+    /// [`set`](Self::set) and [`values_mut`](Self::values_mut) clear the
+    /// memo.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the shape and raw bit patterns.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        *self.fp.get_or_init(|| {
+            // FNV-1a over the shape and raw bit patterns.
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix = |x: u64| {
+                for b in x.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            mix(self.rows as u64);
+            mix(self.cols as u64);
+            for v in self.data.iter() {
+                mix(v.to_bits());
             }
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
-        for v in self.data.iter() {
-            mix(v.to_bits());
-        }
-        h
+            h
+        })
     }
 
     /// Returns a deep copy whose buffer is uniquely owned.
     pub fn deep_clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: Arc::new(self.data.as_ref().clone()),
-        }
+        Self::from_parts(self.rows, self.cols, self.data.as_ref().clone())
     }
 
     /// Number of strong references to the shared value buffer (for tests of
@@ -357,6 +350,62 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.fingerprint(), a.deep_clone().fingerprint());
+    }
+
+    /// Byte-wise FNV-1a of the 2x2 matrix `[1, 2; 3, 4]` (shape, then
+    /// each value's little-endian bits), computed independently of the
+    /// implementation.
+    const FP_1234: u64 = 0x9555_2b70_d293_9720;
+
+    fn m1234() -> Matrix {
+        Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap()
+    }
+
+    #[test]
+    fn fingerprint_memo_equals_pinned_fnv1a() {
+        let a = m1234();
+        assert_eq!(a.fingerprint(), FP_1234);
+        assert_eq!(a.fingerprint(), FP_1234, "memoised read");
+        assert_eq!(a.clone().fingerprint(), FP_1234, "memo carried by clone");
+    }
+
+    #[test]
+    fn mutating_a_shared_clone_refreshes_only_its_memo() {
+        let a = m1234();
+        assert_eq!(a.fingerprint(), FP_1234);
+
+        // The clones share the buffer and copy the set memo.
+        let mut b = a.clone();
+        let mut c = a.clone();
+        assert_eq!(a.buffer_refcount(), 3);
+        assert_eq!(b.fingerprint(), FP_1234);
+        assert_eq!(c.fingerprint(), FP_1234);
+
+        b.set(1, 1, 5.0).unwrap();
+        let b_want = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 5.0]).unwrap();
+        assert_eq!(b.fingerprint(), b_want.fingerprint());
+        assert_ne!(b.fingerprint(), FP_1234);
+
+        c.values_mut()[0] = -1.0;
+        let c_want = Matrix::from_vec(2, 2, vec![-1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(c.fingerprint(), c_want.fingerprint());
+        assert_ne!(c.fingerprint(), FP_1234);
+
+        assert_eq!(a.values(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.fingerprint(), FP_1234, "the original keeps its own");
+    }
+
+    #[test]
+    fn deep_clone_and_eq_ignore_the_memo() {
+        let a = m1234();
+        let cold = a.deep_clone();
+        a.fingerprint();
+        assert_eq!(a, cold, "a set memo does not affect equality");
+        assert_eq!(cold, a);
+        let warm = a.deep_clone();
+        assert_eq!(warm, a);
+        assert_eq!(warm.fingerprint(), FP_1234);
+        assert_eq!(cold.fingerprint(), FP_1234);
     }
 
     #[test]

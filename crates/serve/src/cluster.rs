@@ -11,6 +11,11 @@
 //! their session over the origin node's cache (session-local reuse);
 //! shared items go through [`ClusterCache::probe_or_begin_from`] so
 //! cross-tenant reuse works across node boundaries.
+//!
+//! The arrival clock spans runs: a long-lived dispatcher fed
+//! consecutive batches fires each epoch boundary once, and a trace that
+//! starts before the last arrival seen (a replay from tick 0) restarts
+//! the clock.
 
 use crate::request::{Request, TenantId, Work};
 use crate::rng;
@@ -18,6 +23,7 @@ use crate::scheduler::{shared_item, shared_payload};
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, ClusterStatsSnapshot, NodeId};
 use memphis_core::CachedObject;
 use memphis_workloads::pipelines;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -81,16 +87,42 @@ pub struct ClusterServeReport {
     pub checks: Vec<(String, f64)>,
     /// Requests routed per node, sorted by node id.
     pub node_requests: Vec<(NodeId, u64)>,
-    /// Rebalance epochs fired.
+    /// Rebalance epochs fired: arrival-clock boundaries plus the final
+    /// drain.
     pub epochs: u64,
+    /// Of `epochs`, those fired by the final drain rather than by an
+    /// arrival crossing an epoch boundary.
+    pub drain_epochs: u64,
     /// Final cluster counter snapshot.
     pub cluster: ClusterStatsSnapshot,
+}
+
+/// The arrival clock rebalance epochs fire on, kept across runs.
+struct EpochClock {
+    /// Latest arrival dispatched so far.
+    last_arrival: u64,
+    /// Arrival tick at which the next epoch fires.
+    next_epoch: u64,
+}
+
+impl EpochClock {
+    fn start(epoch_ticks: u64) -> Self {
+        Self {
+            last_arrival: 0,
+            next_epoch: if epoch_ticks > 0 {
+                epoch_ticks
+            } else {
+                u64::MAX
+            },
+        }
+    }
 }
 
 /// Routes tenant requests onto cluster nodes and serves them.
 pub struct ClusterDispatcher {
     cfg: ClusterServeConfig,
     cluster: Arc<ClusterCache>,
+    clock: Mutex<EpochClock>,
 }
 
 impl ClusterDispatcher {
@@ -109,6 +141,7 @@ impl ClusterDispatcher {
         let ids: Vec<NodeId> = (0..cfg.nodes as NodeId).collect();
         Self {
             cluster: Arc::new(ClusterCache::new(ccfg, &ids)),
+            clock: Mutex::new(EpochClock::start(cfg.epoch_ticks)),
             cfg,
         }
     }
@@ -129,7 +162,10 @@ impl ClusterDispatcher {
         ))
     }
 
-    /// Dispatches a trace in `(arrival, id)` order.
+    /// Dispatches a trace in `(arrival, id)` order. Epochs fire on the
+    /// arrival clock carried over from the previous run, which restarts
+    /// when this trace begins before the last arrival already seen (a
+    /// replay from an earlier tick).
     pub fn run(&self, requests: &[Request]) -> ClusterServeReport {
         let _span = memphis_obs::span_with(memphis_obs::cat::CLUSTER, "cluster_dispatch", || {
             format!("nodes={} requests={}", self.cfg.nodes, requests.len())
@@ -147,18 +183,21 @@ impl ClusterDispatcher {
         let mut shared = 0u64;
         let mut pipes = 0u64;
         let mut epochs = 0u64;
-        let mut next_epoch = if self.cfg.epoch_ticks > 0 {
-            self.cfg.epoch_ticks
-        } else {
-            u64::MAX
-        };
+        let mut clock = self.clock.lock();
+        if order
+            .first()
+            .is_some_and(|r| r.arrival < clock.last_arrival)
+        {
+            *clock = EpochClock::start(self.cfg.epoch_ticks);
+        }
 
         for req in order {
-            while req.arrival >= next_epoch {
+            while req.arrival >= clock.next_epoch {
                 self.cluster.rebalance_epoch();
                 epochs += 1;
-                next_epoch = next_epoch.saturating_add(self.cfg.epoch_ticks);
+                clock.next_epoch = clock.next_epoch.saturating_add(self.cfg.epoch_ticks);
             }
+            clock.last_arrival = req.arrival;
             let origin = self.route(req.tenant);
             *node_requests.entry(origin).or_insert(0) += 1;
             match req.work {
@@ -195,13 +234,15 @@ impl ClusterDispatcher {
             }
         }
 
-        // Drain any queued moves so the report is settled.
-        let mut guard = 0;
+        drop(clock);
+
+        // Drain any queued moves so the report is settled. Drain epochs
+        // do not advance the arrival clock.
+        let mut drain_epochs = 0u64;
         while self.cluster.pending_moves() > 0 {
             self.cluster.rebalance_epoch();
-            epochs += 1;
-            guard += 1;
-            assert!(guard < 1024, "rebalance queue never drained");
+            drain_epochs += 1;
+            assert!(drain_epochs < 1024, "rebalance queue never drained");
         }
 
         ClusterServeReport {
@@ -211,7 +252,8 @@ impl ClusterDispatcher {
             digest,
             checks,
             node_requests: node_requests.into_iter().collect(),
-            epochs,
+            epochs: epochs + drain_epochs,
+            drain_epochs,
             cluster: self.cluster.stats(),
         }
     }
@@ -250,6 +292,35 @@ mod tests {
         assert_eq!(a.digest, b.digest, "results must not depend on node count");
         assert!(b.cluster.remote_hits > 0, "4 nodes must serve remotely");
         assert_eq!(a.cluster.remote_hits, 0, "1 node has no remote peers");
+    }
+
+    /// Epochs fired because an arrival crossed a boundary.
+    fn arrival_epochs(r: &ClusterServeReport) -> u64 {
+        r.epochs - r.drain_epochs
+    }
+
+    #[test]
+    fn batches_share_one_epoch_clock_and_a_replay_restarts_it() {
+        let mut trace = open_loop(42, &spec());
+        trace.sort_by_key(|r| (r.arrival, r.id));
+        let whole = ClusterDispatcher::new(ClusterServeConfig::test()).run(&trace);
+        let want = arrival_epochs(&whole);
+        assert!(want >= 4, "the trace spans several epochs ({want})");
+
+        // The same requests as consecutive batches on one dispatcher:
+        // each boundary fires once, in the batch whose arrival crosses
+        // it, never again as catch-up at the start of a later batch.
+        let d = ClusterDispatcher::new(ClusterServeConfig::test());
+        let batched: u64 = trace
+            .chunks(trace.len() / 4)
+            .map(|b| arrival_epochs(&d.run(b)))
+            .sum();
+        assert_eq!(batched, want);
+
+        // Replaying from arrival 0 restarts the clock.
+        let replay = d.run(&trace);
+        assert_eq!(arrival_epochs(&replay), want);
+        assert_eq!(replay.digest, whole.digest);
     }
 
     #[test]

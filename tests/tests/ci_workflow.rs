@@ -197,6 +197,7 @@ fn ci_script_defines_all_stages() {
         "stage_script",
         "stage_bench_gate",
         "stage_perf",
+        "stage_perfbench",
         "stage_lint",
     ] {
         assert!(
@@ -238,6 +239,18 @@ fn ci_script_defines_all_stages() {
     assert!(sh.contains("--test script"));
     assert!(sh.contains("-p memphis-script"));
     assert!(sh.contains("--bin exp_script"));
+    // The perfbench stage runs the benchmark's own tests and a short
+    // correctness-checked `cluster` run, and is part of the default set.
+    assert!(sh.contains("--manifest-path perfbench/Cargo.toml"));
+    assert!(sh.contains("perfbench/run.py --workload cluster --seed 42 --seconds 2 --trace 0"));
+    let all = sh
+        .lines()
+        .find(|l| l.starts_with("ALL_STAGES=("))
+        .expect("ci.sh: ALL_STAGES missing");
+    assert!(
+        all.contains(" perfbench "),
+        "ci.sh: perfbench not in ALL_STAGES"
+    );
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Cluster integration: node-count invariance, bounded lossless churn,
-//! remote in-flight coalescing, and hotspot flattening — chaos-seeded
+//! the rebalancer's queued-move invariant, remote in-flight
+//! coalescing, and hotspot flattening — chaos-seeded
 //! like `concurrency.rs` (`CHAOS_SEED` selects the trace seed; `ci.sh`
 //! runs 42 and 1337).
 //!
@@ -16,6 +17,7 @@ use memphis_core::CachedObject;
 use memphis_workloads::cluster::{cluster_item, cluster_payload};
 use memphis_workloads::{run_cluster, ClusterParams};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn chaos_seed() -> u64 {
@@ -32,10 +34,15 @@ fn payload_bytes(o: &CachedObject) -> usize {
     }
 }
 
+/// The deterministic origin node item `i` is requested from.
+fn origin_of(cluster: &ClusterCache, i: usize) -> NodeId {
+    cluster.route_hash((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
 /// Computes item `i` through the cluster probe path from a
 /// deterministic origin, completing if the cluster misses.
 fn prove(cluster: &ClusterCache, i: usize) {
-    let origin = cluster.route_hash((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let origin = origin_of(cluster, i);
     let item = cluster_item(i);
     if let ClusterProbed::Compute(g) = cluster.probe_or_begin_from(origin, &item) {
         let obj = cluster_payload(i);
@@ -174,6 +181,177 @@ fn churn_is_budgeted_and_lossless() {
     assert_eq!(s.node_joins, 2);
     assert_eq!(s.node_leaves, 1);
     assert!(s.rebalance_moves > 0, "churn rehomed nothing");
+}
+
+// ----------------------------------------------------------------------
+// Rebalancer invariant: every misplaced key has a queued move
+// ----------------------------------------------------------------------
+
+/// One step of a random cluster history. Node operands index a pool of
+/// `POOL` node ids and are mapped onto a legal target when the step
+/// runs (a join picks a non-member, a leave a member).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Prove one of the first `ITEMS` items.
+    Prove(usize),
+    /// Claim a fresh item's compute, join a node, then complete — the
+    /// claimed owner may have lost HRW to the joiner.
+    BeginJoinComplete(u16),
+    /// Claim a fresh item's compute, have a member leave (the claimed
+    /// owner itself when the flag is set), then complete.
+    BeginLeaveComplete(bool, u16),
+    Join(u16),
+    Leave(u16),
+    Epoch,
+}
+
+const POOL: u16 = 6;
+const ITEMS: usize = 24;
+
+impl Op {
+    /// Maps a drawn `(kind, operand, flag)` triple onto a step; proves
+    /// and epochs are drawn more often than membership changes.
+    fn decode((kind, arg, flag): (u8, usize, bool)) -> Self {
+        let node = (arg % POOL as usize) as u16;
+        match kind {
+            0..=3 => Op::Prove(arg),
+            4 => Op::BeginJoinComplete(node),
+            5 => Op::BeginLeaveComplete(flag, node),
+            6 => Op::Join(node),
+            7 => Op::Leave(node),
+            _ => Op::Epoch,
+        }
+    }
+}
+
+/// The `n`-th (mod) node of the pool that is not a member, if any.
+fn non_member(cluster: &ClusterCache, n: u16) -> Option<NodeId> {
+    let members = cluster.members();
+    let free: Vec<NodeId> = (0..POOL).filter(|x| !members.contains(x)).collect();
+    (!free.is_empty()).then(|| free[n as usize % free.len()])
+}
+
+/// The `n`-th (mod) member, if more than one member remains.
+fn leaver(cluster: &ClusterCache, n: u16) -> Option<NodeId> {
+    let members = cluster.members();
+    (members.len() > 1).then(|| members[n as usize % members.len()])
+}
+
+/// Claims item `i`'s compute, runs `between`, then completes it.
+fn begin_then_complete(cluster: &ClusterCache, i: usize, between: impl FnOnce(NodeId)) {
+    let origin = origin_of(cluster, i);
+    match cluster.probe_or_begin_from(origin, &cluster_item(i)) {
+        ClusterProbed::Compute(g) => {
+            between(g.owner());
+            let obj = cluster_payload(i);
+            let size = payload_bytes(&obj);
+            cluster.complete_from(g, obj, 50.0, size);
+        }
+        ClusterProbed::Hit { .. } => panic!("fresh item {i} was already cached"),
+    }
+}
+
+/// Order-sensitive fold of the fingerprints served for `items`, each
+/// read without computing — a lost entry panics.
+fn served_digest(cluster: &ClusterCache, items: &BTreeSet<usize>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &i in items {
+        let (hit, _) = cluster
+            .probe_from(origin_of(cluster, i), &cluster_item(i))
+            .unwrap_or_else(|| panic!("proven item {i} was lost"));
+        let fp = match &hit.object {
+            CachedObject::Matrix(m) => m.fingerprint(),
+            _ => panic!("expected the matrix payload"),
+        };
+        h = (h ^ fp).wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Epochs never scan the directory for misplaced keys, so every
+    /// operation that can misplace one must queue its move: after each
+    /// step of a random history, no directory entry sits off its HRW
+    /// winner without a queued move. After a drain the cluster serves
+    /// every proven item with the digest a single node serves.
+    #[test]
+    fn every_misplaced_key_has_a_queued_move(
+        seed in 0u64..(1u64 << 48),
+        ops in proptest::collection::vec((0u8..10, 0..ITEMS, any::<bool>()), 1..48),
+    ) {
+        let mut cfg = ClusterConfig::test();
+        cfg.seed = seed;
+        cfg.rebalance_moves = 2;
+        let budget = cfg.rebalance_moves as u64;
+        let cluster = ClusterCache::new(cfg.clone(), &[0, 1, 2, 3]);
+        let mut proven = BTreeSet::new();
+        let mut fresh = 1000usize;
+
+        for op in ops.into_iter().map(Op::decode) {
+            match op {
+                Op::Prove(i) => {
+                    prove(&cluster, i);
+                    proven.insert(i);
+                }
+                Op::BeginJoinComplete(n) => {
+                    fresh += 1;
+                    begin_then_complete(&cluster, fresh, |_| {
+                        if let Some(node) = non_member(&cluster, n) {
+                            cluster.join(node);
+                        }
+                    });
+                    proven.insert(fresh);
+                }
+                Op::BeginLeaveComplete(owner, n) => {
+                    fresh += 1;
+                    begin_then_complete(&cluster, fresh, |o| {
+                        let members = cluster.members();
+                        let node = if owner && members.len() > 1 {
+                            Some(o)
+                        } else {
+                            leaver(&cluster, n)
+                        };
+                        if let Some(node) = node {
+                            cluster.leave(node);
+                        }
+                    });
+                    proven.insert(fresh);
+                }
+                Op::Join(n) => {
+                    if let Some(node) = non_member(&cluster, n) {
+                        cluster.join(node);
+                    }
+                }
+                Op::Leave(n) => {
+                    if let Some(node) = leaver(&cluster, n) {
+                        cluster.leave(node);
+                    }
+                }
+                Op::Epoch => {
+                    cluster.rebalance_epoch();
+                }
+            }
+            prop_assert!(
+                cluster.misplaced_unqueued() == 0,
+                "a misplaced key has no queued move after {op:?}"
+            );
+        }
+
+        drain(&cluster, budget);
+        prop_assert_eq!(cluster.pending_moves(), 0);
+        prop_assert_eq!(cluster.misplaced_unqueued(), 0);
+        prop_assert_eq!(cluster.orphaned_replicas(), 0);
+
+        let single = ClusterCache::new(cfg, &[0]);
+        for &i in &proven {
+            prove(&single, i);
+        }
+        let computes = cluster.stats().computes;
+        prop_assert_eq!(served_digest(&cluster, &proven), served_digest(&single, &proven));
+        prop_assert_eq!(cluster.stats().computes, computes);
+    }
 }
 
 // ----------------------------------------------------------------------
