@@ -6,7 +6,6 @@
 use memphis_bench::{
     bench_cache, bench_gpu, bench_spark, cache_report, header, obs_absorb, obs_finish, obs_init,
 };
-use memphis_core::cache::config::CacheConfig;
 use memphis_engine::compiler::Ordering;
 use memphis_engine::interp::run_program;
 use memphis_engine::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
@@ -40,9 +39,7 @@ fn delayed_caching_ablation() {
         cfg.blen = 128;
         cfg.async_ops = false;
         cfg.delay_factor = delay;
-        let mut cache_cfg: CacheConfig = bench_cache(16 << 20);
-        cache_cfg.default_delay = delay;
-        let mut ctx = b.make_ctx(cfg, cache_cfg);
+        let mut ctx = b.make_ctx(cfg, bench_cache(16 << 20));
         let x = memphis_matrix::rand_gen::rand_uniform(2048, 16, -1.0, 1.0, 3);
         ctx.read("X", x, "abl/X").unwrap();
         let t0 = Instant::now();

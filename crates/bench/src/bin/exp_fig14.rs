@@ -84,9 +84,7 @@ fn hdrop_experiment() {
         // partially loop-dependent training block): never-repeating
         // training intermediates are not admitted, the repeating IDP is.
         cfg.delay_factor = 2;
-        let mut cache_cfg = bench_cache(64 << 20);
-        cache_cfg.default_delay = 2;
-        let mut ctx = b.make_ctx(cfg, cache_cfg);
+        let mut ctx = b.make_ctx(cfg, bench_cache(64 << 20));
         rows.push(run_timed(label, &mut ctx, |c| hdrop::run(c, &p)).expect("hdrop"));
         obs_backends(&b);
     }

@@ -18,10 +18,9 @@
 //!
 //! Supports the shared `--trace` / `--json` observability flags.
 
-use memphis_bench::gate::percentile;
 use memphis_bench::{header, obs_absorb, obs_finish, obs_init, obs_record};
 use memphis_core::CachePolicy;
-use memphis_workloads::{run_latency, LatencyParams, LatencyReport};
+use memphis_workloads::{percentile, run_latency, LatencyParams, LatencyReport};
 
 fn print_report(label: &str, r: &LatencyReport, p99: u64) {
     println!(

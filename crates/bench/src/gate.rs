@@ -1,319 +1,173 @@
-//! Shared gate-report plumbing for the bench binaries (`bench_gate`,
-//! `perf_stress`): flat JSON rendering/parsing and the exact-match
-//! comparison over the gated counter set.
+//! The bench gate's report plumbing: the flat JSON object that
+//! `ci/BENCH_baseline.json` holds, and the exact comparison of a gate
+//! table with it. The table itself is built by the gate test,
+//! `tests/gate.rs`.
 //!
 //! The vendored serde is serialize-only, so both ends of the report are
 //! hand-rolled: a flat `{"key": integer, ...}` object is all the gate
-//! ever needs. Wall-clock keys ride along in the reports but are never
-//! gated — only the counters in [`GATED`] are compared, and the
-//! comparison is equality, not a tolerance band, because every gated
-//! counter is deterministic by construction.
+//! needs. Every row is gated, and the comparison is equality, because
+//! every counter in the table is deterministic by construction.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// The gated counters, in report order. `ci/bench_gate.sh` and the
-/// `perf` stage fail the build when any of these diverges from the
-/// committed baseline; all other report keys are informational.
-pub const GATED: [&str; 8] = [
-    "hits",
-    "recomputes",
-    "evictions",
-    "coalesced_hits",
-    "duplicates",
-    "serve_shed",
-    "serve_coalesced",
-    "serve_quota_evictions",
-];
-
-/// The durable disk tier's recovery counters, gated by `bench_gate`
-/// only (the perf stage keeps gating [`GATED`] alone, so its reports
-/// stay schema-compatible with older baselines). Every one of these is
-/// deterministic: the recovery gate's fault plan is seeded and its
-/// store traffic is single-threaded.
-pub const GATED_RECOVERY: [&str; 4] = [
-    "segments_recovered",
-    "entries_rehydrated",
-    "checksum_rejects",
-    "manifest_swaps",
-];
-
-/// The cluster layer's scale-out counters, gated by `bench_gate` (like
-/// [`GATED_RECOVERY`], the perf stage keeps its older schema). The
-/// cluster gate harness is single-threaded and every decision is a
-/// SplitMix64 hash, so each of these is exact per `(seed, config)`.
-pub const GATED_CLUSTER: [&str; 6] = [
-    "remote_hits",
-    "remote_misses",
-    "transfer_bytes",
-    "rebalance_moves",
-    "replica_hits",
-    "replica_invalidations",
-];
-
-/// The latency gate's delayed-hits counters, gated by `bench_gate`
-/// (the perf stage keeps its older schema). The latency harness is
-/// single-threaded with SplitMix64 arrivals, so the p99s, the served
-/// count, and every policy counter are exact per seed.
-pub const GATED_LATENCY: [&str; 6] = [
-    "latency_served",
-    "latency_p99_paper",
-    "latency_p99_delayed",
-    "latency_mad_evictions",
-    "latency_ttna_rejects",
-    "latency_delay_ticks_saved",
-];
-
-/// The script frontend's gate counters (PR 10), gated by `bench_gate`
-/// (the perf stage keeps its older schema). The fuzz campaign is
-/// SplitMix64-seeded and the corpus is embedded at compile time, so
-/// program counts, lowered node totals, and the folded corpus digest
-/// are exact per seed.
-pub const GATED_SCRIPT: [&str; 5] = [
-    "script_programs_fuzzed",
-    "script_divergences",
-    "script_lowered_nodes",
-    "script_corpus_scripts",
-    "script_corpus_digest",
-];
-
-/// Renders a flat `{"k": v, ...}` JSON object.
-pub fn render(pairs: &[(&str, u64)]) -> String {
-    let body = pairs
+/// Renders a table as the flat JSON object the baseline file holds.
+pub fn render(table: &[(&str, u64)]) -> String {
+    let rows: Vec<String> = table
         .iter()
         .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n{body}\n}}\n")
+        .collect();
+    format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
-/// Parses a flat string-to-integer JSON object (whitespace-tolerant;
-/// ignores anything that is not a `"key": <digits>` pair).
-pub fn parse(s: &str) -> HashMap<String, u64> {
-    let mut out = HashMap::new();
-    let mut rest = s;
-    while let Some(q0) = rest.find('"') {
-        rest = &rest[q0 + 1..];
-        let Some(q1) = rest.find('"') else { break };
-        let key = rest[..q1].to_string();
-        rest = &rest[q1 + 1..];
-        let Some(c) = rest.find(':') else { break };
-        let after = rest[c + 1..].trim_start();
-        let digits: String = after.chars().take_while(|ch| ch.is_ascii_digit()).collect();
-        if !digits.is_empty() {
-            if let Ok(v) = digits.parse() {
-                out.insert(key, v);
-            }
-        }
-        rest = &rest[c + 1..];
-    }
+/// Parses the `"key": value` lines of a flat JSON object.
+pub fn parse(json: &str) -> BTreeMap<String, u64> {
+    json.lines()
+        .filter_map(|line| {
+            let (k, v) = line.split_once(':')?;
+            let v = v.trim().trim_end_matches(',').parse().ok()?;
+            Some((k.trim().trim_matches('"').to_string(), v))
+        })
+        .collect()
+}
+
+/// Every divergence of a table from the baseline: a changed value, or
+/// a key present on only one side.
+pub fn divergences(table: &[(&str, u64)], baseline: &BTreeMap<String, u64>) -> Vec<String> {
+    let mut out: Vec<String> = table
+        .iter()
+        .filter_map(|&(k, v)| match baseline.get(k) {
+            Some(&want) if want == v => None,
+            Some(&want) => Some(format!("{k}: {v} != baseline {want}")),
+            None => Some(format!("{k}: {v} has no baseline")),
+        })
+        .collect();
+    out.extend(
+        baseline
+            .iter()
+            .filter(|(k, _)| !table.iter().any(|(t, _)| t == k))
+            .map(|(k, want)| format!("{k}: baseline {want} has no row")),
+    );
     out
-}
-
-/// Result of one gated comparison.
-#[derive(Debug, Default)]
-pub struct GateDiff {
-    /// `(key, value)` for counters equal to the baseline.
-    pub matches: Vec<(String, u64)>,
-    /// `(key, got, want)` for diverged counters.
-    pub regressions: Vec<(String, u64, u64)>,
-    /// Gated keys absent from the report or the baseline.
-    pub missing: Vec<String>,
-}
-
-impl GateDiff {
-    /// True when every gated counter matched.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
-    }
-}
-
-/// Diffs only the [`GATED`] counters of a report against a baseline
-/// (both flat JSON strings). Extra keys on either side are ignored, so
-/// reports may carry informational wall-clock and perf keys beyond the
-/// baseline schema.
-pub fn compare_gated(report: &str, baseline: &str) -> GateDiff {
-    compare_keys(report, baseline, &GATED)
-}
-
-/// Diffs an explicit gated key set of a report against a baseline —
-/// `bench_gate` passes [`GATED`] plus [`GATED_RECOVERY`], the perf
-/// stage only [`GATED`].
-pub fn compare_keys(report: &str, baseline: &str, keys: &[&str]) -> GateDiff {
-    let current = parse(report);
-    let expected = parse(baseline);
-    let mut diff = GateDiff::default();
-    for &key in keys {
-        match (expected.get(key), current.get(key)) {
-            (Some(want), Some(got)) if want == got => {
-                diff.matches.push((key.to_string(), *got));
-            }
-            (Some(want), Some(got)) => {
-                diff.regressions.push((key.to_string(), *got, *want));
-            }
-            _ => diff.missing.push(key.to_string()),
-        }
-    }
-    diff
-}
-
-/// Nearest-rank percentile of an unsorted sample (p in [0, 100]);
-/// 0 for an empty sample.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    /// The committed baseline, parsed.
+    fn committed() -> BTreeMap<String, u64> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/BENCH_baseline.json");
+        let json = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        parse(&json)
+    }
+
+    /// Asserts that the committed baseline holds every key of a slice,
+    /// and that changing any one of them fails the gate with exactly
+    /// that divergence.
+    fn assert_slice_gated(slice: &[&str]) {
+        let baseline = committed();
+        let table: Vec<(&str, u64)> = baseline.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        assert!(divergences(&table, &baseline).is_empty());
+        for &key in slice {
+            let want = *baseline
+                .get(key)
+                .unwrap_or_else(|| panic!("{key} is not in ci/BENCH_baseline.json"));
+            let changed: Vec<(&str, u64)> = table
+                .iter()
+                .map(|&(k, v)| (k, if k == key { v ^ 1 } else { v }))
+                .collect();
+            assert_eq!(
+                divergences(&changed, &baseline),
+                [format!("{key}: {} != baseline {want}", want ^ 1)]
+            );
+        }
+    }
 
     #[test]
     fn render_parse_roundtrip() {
-        let report = render(&[("hits", 448), ("wall_clock_ms", 12)]);
-        let parsed = parse(&report);
+        let table = [("hits", 448), ("script_corpus_digest", u64::MAX)];
+        let parsed = parse(&render(&table));
+        assert_eq!(parsed.len(), 2);
         assert_eq!(parsed.get("hits"), Some(&448));
-        assert_eq!(parsed.get("wall_clock_ms"), Some(&12));
+        assert_eq!(parsed.get("script_corpus_digest"), Some(&u64::MAX));
+        assert!(divergences(&table, &parsed).is_empty());
     }
 
     #[test]
     fn compare_flags_only_gated_divergence() {
-        let base = render(&[
+        let base = parse(&render(&[
             ("hits", 448),
             ("recomputes", 64),
-            ("evictions", 64),
-            ("coalesced_hits", 7),
-            ("duplicates", 0),
             ("serve_shed", 6),
-            ("serve_coalesced", 1),
-            ("serve_quota_evictions", 5),
-            ("wall_clock_ms", 3),
-        ]);
-        // Identical gated counters, different wall clock + extra keys.
-        let report = render(&[
-            ("hits", 448),
-            ("recomputes", 64),
-            ("evictions", 64),
-            ("coalesced_hits", 7),
-            ("duplicates", 0),
-            ("serve_shed", 6),
-            ("serve_coalesced", 1),
-            ("serve_quota_evictions", 5),
-            ("wall_clock_ms", 9000),
-            ("perf_stress_latency_p99_ticks", 42),
-        ]);
-        let diff = compare_gated(&report, &base);
-        assert!(diff.passed(), "{:?}", diff.regressions);
-        assert_eq!(diff.matches.len(), GATED.len());
+        ]));
+        let report = [("hits", 448), ("recomputes", 64), ("serve_shed", 6)];
+        assert!(divergences(&report, &base).is_empty());
 
-        let bad = report.replace("\"hits\": 448", "\"hits\": 447");
-        let diff = compare_gated(&bad, &base);
-        assert!(!diff.passed());
-        assert_eq!(diff.regressions, vec![("hits".to_string(), 447, 448)]);
+        let bad = [("hits", 447), ("recomputes", 64), ("serve_shed", 6)];
+        assert_eq!(divergences(&bad, &base), ["hits: 447 != baseline 448"]);
     }
 
     #[test]
     fn compare_reports_missing_keys() {
-        let base = render(&[("hits", 1)]);
-        let report = render(&[("hits", 1)]);
-        let diff = compare_gated(&report, &base);
-        assert_eq!(diff.missing.len(), GATED.len() - 1);
-        assert!(!diff.passed());
+        let base = parse(&render(&[("hits", 1), ("recomputes", 2)]));
+        assert_eq!(
+            divergences(&[("hits", 1)], &base),
+            ["recomputes: baseline 2 has no row"]
+        );
+        assert_eq!(
+            divergences(&[("hits", 1), ("recomputes", 2), ("new_key", 0)], &base),
+            ["new_key: 0 has no baseline"]
+        );
     }
 
     #[test]
     fn compare_keys_gates_the_recovery_slice() {
-        let base = render(&[
-            ("segments_recovered", 2),
-            ("entries_rehydrated", 3),
-            ("checksum_rejects", 1),
-            ("manifest_swaps", 1),
+        assert_slice_gated(&[
+            "segments_recovered",
+            "entries_recovered",
+            "entries_rehydrated",
+            "checksum_rejects",
+            "manifest_swaps",
         ]);
-        let diff = compare_keys(&base, &base, &GATED_RECOVERY);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_RECOVERY.len());
-
-        let bad = base.replace("\"checksum_rejects\": 1", "\"checksum_rejects\": 4");
-        let diff = compare_keys(&bad, &base, &GATED_RECOVERY);
-        assert_eq!(
-            diff.regressions,
-            vec![("checksum_rejects".to_string(), 4, 1)]
-        );
     }
 
     #[test]
     fn compare_keys_gates_the_cluster_slice() {
-        let base = render(&[
-            ("remote_hits", 207),
-            ("remote_misses", 0),
-            ("transfer_bytes", 585728),
-            ("rebalance_moves", 15),
-            ("replica_hits", 220),
-            ("replica_invalidations", 6),
+        assert_slice_gated(&[
+            "remote_hits",
+            "remote_misses",
+            "transfer_bytes",
+            "rebalance_moves",
+            "replica_hits",
+            "replica_invalidations",
+            "handoff_hits",
+            "remote_coalesced",
+            "cluster_computes",
         ]);
-        let diff = compare_keys(&base, &base, &GATED_CLUSTER);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_CLUSTER.len());
-
-        let bad = base.replace("\"replica_hits\": 220", "\"replica_hits\": 0");
-        let diff = compare_keys(&bad, &base, &GATED_CLUSTER);
-        assert_eq!(diff.regressions, vec![("replica_hits".to_string(), 0, 220)]);
     }
 
     #[test]
     fn compare_keys_gates_the_latency_slice() {
-        let base = render(&[
-            ("latency_served", 18282),
-            ("latency_p99_paper", 20),
-            ("latency_p99_delayed", 1),
-            ("latency_mad_evictions", 1576),
-            ("latency_ttna_rejects", 6),
-            ("latency_delay_ticks_saved", 233100),
+        assert_slice_gated(&[
+            "latency_served",
+            "latency_p99_paper",
+            "latency_p99_delayed",
+            "latency_mad_evictions",
+            "latency_ttna_rejects",
+            "latency_delay_ticks_saved",
         ]);
-        let diff = compare_keys(&base, &base, &GATED_LATENCY);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_LATENCY.len());
-
-        let bad = base.replace("\"latency_p99_delayed\": 1", "\"latency_p99_delayed\": 20");
-        let diff = compare_keys(&bad, &base, &GATED_LATENCY);
-        assert_eq!(
-            diff.regressions,
-            vec![("latency_p99_delayed".to_string(), 20, 1)]
-        );
     }
 
     #[test]
     fn compare_keys_gates_the_script_slice() {
-        let base = render(&[
-            ("script_programs_fuzzed", 40),
-            ("script_divergences", 0),
-            ("script_lowered_nodes", 1200),
-            ("script_corpus_scripts", 7),
-            ("script_corpus_digest", 12345),
+        assert_slice_gated(&[
+            "script_programs_fuzzed",
+            "script_divergences",
+            "script_lowered_nodes",
+            "script_corpus_scripts",
+            "script_corpus_digest",
         ]);
-        let diff = compare_keys(&base, &base, &GATED_SCRIPT);
-        assert!(diff.passed());
-        assert_eq!(diff.matches.len(), GATED_SCRIPT.len());
-
-        let bad = base.replace("\"script_divergences\": 0", "\"script_divergences\": 3");
-        let diff = compare_keys(&bad, &base, &GATED_SCRIPT);
-        assert_eq!(
-            diff.regressions,
-            vec![("script_divergences".to_string(), 3, 0)]
-        );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let s: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&s, 50.0), 50);
-        assert_eq!(percentile(&s, 99.0), 99);
-        assert_eq!(percentile(&s, 100.0), 100);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        assert_eq!(percentile(&[], 50.0), 0);
     }
 }

@@ -151,9 +151,7 @@ pub fn run_fig2c(p: &Fig2cParams) -> Fig2cOutcome {
         // Delayed caching n=2 (the §5.2 auto-tuner's choice for partially
         // reusable blocks): never-repeating RDDs are not persisted.
         cfg.delay_factor = 2;
-        let mut cache_cfg = bench_cache(p.cache_budget);
-        cache_cfg.default_delay = 2;
-        let mut ctx = b.make_ctx(cfg, cache_cfg);
+        let mut ctx = b.make_ctx(cfg, bench_cache(p.cache_budget));
         ctx.read("X", m.clone(), "fig2c/X").unwrap();
         for i in 0..p.total {
             let scale = (i % distinct) as f64 / distinct as f64 + 0.5;
@@ -401,22 +399,12 @@ impl ConcGateParams {
             sessions: 8,
         }
     }
-
-    /// Tiny scale for the golden smoke tests.
-    pub fn tiny() -> Self {
-        Self {
-            items: 8,
-            rounds: 3,
-            churn: 16,
-            sessions: 2,
-        }
-    }
 }
 
-/// Deterministic counters of the concurrency gate. Every field except
-/// `elapsed` must be bit-identical run over run, thread count over
-/// thread count; `ci/bench_gate.sh` fails the build when one regresses
-/// against the committed baseline.
+/// Deterministic counters of the concurrency gate. Every field must be
+/// bit-identical run over run, thread count over thread count; the gate
+/// test (`tests/gate.rs`) fails when one diverges from the committed
+/// baseline.
 #[derive(Debug, Clone)]
 pub struct ConcGateOutcome {
     /// Reuse hits of the single-threaded loop (items * (rounds - 1)).
@@ -429,8 +417,6 @@ pub struct ConcGateOutcome {
     pub coalesced_hits: u64,
     /// Concurrent duplicate computations of a shared id (must be 0).
     pub duplicates: u64,
-    /// Wall clock (informational; never gated).
-    pub elapsed: Duration,
 }
 
 /// Runs the gate workload: a single-threaded probe/complete reuse loop
@@ -442,8 +428,6 @@ pub fn run_concurrency_gate(p: &ConcGateParams) -> ConcGateOutcome {
     use memphis_core::cache::{LineageCache, Probed};
     use memphis_core::lineage::LineageItem;
     use memphis_matrix::Matrix;
-
-    let t0 = Instant::now();
 
     // Stage 1: single-threaded reuse loop. Round 0 computes every item;
     // later rounds hit. A generous budget keeps this stage eviction-free
@@ -513,7 +497,6 @@ pub fn run_concurrency_gate(p: &ConcGateParams) -> ConcGateOutcome {
         evictions,
         coalesced_hits: serve.rendezvous_coalesced,
         duplicates: serve.duplicate_shared_computes,
-        elapsed: t0.elapsed(),
     }
 }
 
@@ -547,18 +530,6 @@ impl ServeGateParams {
             workers: 4,
             seed: 42,
             local_budget: 24 << 10,
-            hog_quota: 4 << 10,
-            fault_rate: 0.1,
-        }
-    }
-
-    /// Tiny scale for the golden smoke tests.
-    pub fn tiny() -> Self {
-        Self {
-            requests: 24,
-            workers: 2,
-            seed: 42,
-            local_budget: 16 << 10,
             hog_quota: 4 << 10,
             fault_rate: 0.1,
         }
@@ -644,8 +615,8 @@ impl RecoveryGateParams {
 }
 
 /// Deterministic counters of the recovery gate: the store traffic is
-/// single-threaded and the corruption plan is seeded, so every field
-/// except `elapsed` is a pure function of the parameters.
+/// single-threaded and the corruption plan is seeded, so every field is
+/// a pure function of the parameters.
 #[derive(Debug, Clone)]
 pub struct RecoveryGateOutcome {
     /// Segments holding at least one verified record at recovery.
@@ -658,8 +629,6 @@ pub struct RecoveryGateOutcome {
     pub checksum_rejects: u64,
     /// Atomic manifest swaps performed by compaction.
     pub manifest_swaps: u64,
-    /// Wall clock (informational; never gated).
-    pub elapsed: Duration,
 }
 
 /// Runs the recovery gate: commit a seeded-corruption record stream to a
@@ -674,7 +643,6 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
     use memphis_core::LineageItem;
     use memphis_sparksim::FaultPlan;
 
-    let t0 = Instant::now();
     let dir = std::env::temp_dir().join(format!(
         "memphis_recovery_gate_{}_{}",
         p.entries,
@@ -728,122 +696,6 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
         entries_rehydrated: s.entries_rehydrated,
         checksum_rejects: phase1_rejects + s.checksum_rejects,
         manifest_swaps,
-        elapsed: t0.elapsed(),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Cluster smoke gate (PR 8): deterministic scale-out counters
-// ----------------------------------------------------------------------
-
-/// Scale knobs for the cluster gate — a thin veneer over the workloads
-/// cluster harness ([`memphis_workloads::ClusterParams`]) pinning the
-/// gated configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterGateParams {
-    /// Harness seed.
-    pub seed: u64,
-}
-
-impl ClusterGateParams {
-    /// The committed-baseline scale (seed 42, 4 nodes, churn +
-    /// replication + invalidations on).
-    pub fn full() -> Self {
-        Self { seed: 42 }
-    }
-}
-
-/// Deterministic counters of the cluster gate: the harness is
-/// single-threaded and every decision is hashed, so every field except
-/// `elapsed` is a pure function of the parameters.
-#[derive(Debug, Clone)]
-pub struct ClusterGateOutcome {
-    /// Full harness report (digest, counters, hotspot shares).
-    pub report: memphis_workloads::ClusterReport,
-    /// Wall clock (informational; never gated).
-    pub elapsed: Duration,
-}
-
-impl ClusterGateOutcome {
-    /// Structural invariants any healthy gate run satisfies — checked
-    /// before the baseline comparison so a broken run fails loudly
-    /// rather than just diverging.
-    pub fn invariants_hold(&self) -> bool {
-        let s = &self.report.stats;
-        s.remote_hits > 0
-            && s.replica_hits > 0
-            && s.rebalance_moves > 0
-            && s.replica_invalidations > 0
-            && s.transfer_bytes > 0
-            && self.report.recomputes == 0
-            && self.report.pending_moves == 0
-    }
-}
-
-/// Runs the gated cluster trace: 4 nodes, skewed hotspot, a mid-run
-/// join and leave, hot-item replication, and periodic write
-/// invalidations.
-pub fn run_cluster_gate(p: &ClusterGateParams) -> ClusterGateOutcome {
-    let t0 = Instant::now();
-    let report = memphis_workloads::run_cluster(&memphis_workloads::ClusterParams::gate(p.seed));
-    ClusterGateOutcome {
-        report,
-        elapsed: t0.elapsed(),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Latency gate (PR 9): delayed-hits policy vs eq. (1) on a skewed trace
-// ----------------------------------------------------------------------
-
-/// Scale knobs for the latency gate — a veneer over the workloads
-/// latency harness ([`memphis_workloads::LatencyParams`]) pinning the
-/// gated configuration. The gate runs the *same* trace under both
-/// [`CachePolicy`](memphis_core::CachePolicy) variants.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyGateParams {
-    /// Harness seed.
-    pub seed: u64,
-}
-
-impl LatencyGateParams {
-    /// The committed-baseline scale (seed 42).
-    pub fn full() -> Self {
-        Self { seed: 42 }
-    }
-}
-
-/// Deterministic outcome of the latency gate: both policy runs plus the
-/// nearest-rank p99 of each latency sample. Everything except `elapsed`
-/// is a pure function of the seed.
-#[derive(Debug, Clone)]
-pub struct LatencyGateOutcome {
-    /// The trace under eq. (1)/(2) exactly as published.
-    pub paper: memphis_workloads::LatencyReport,
-    /// The trace under the delayed-hits extension.
-    pub delayed: memphis_workloads::LatencyReport,
-    /// p99 per-arrival virtual latency under `Paper`, in ticks.
-    pub p99_paper: u64,
-    /// p99 per-arrival virtual latency under `DelayedHits`, in ticks.
-    pub p99_delayed: u64,
-    /// Wall clock (informational; never gated).
-    pub elapsed: Duration,
-}
-
-impl LatencyGateOutcome {
-    /// Structural invariants any healthy gate run satisfies — checked
-    /// before the baseline comparison so a broken run fails loudly
-    /// rather than just diverging.
-    pub fn invariants_hold(&self) -> bool {
-        self.paper.digest == self.delayed.digest
-            && self.paper.served == self.delayed.served
-            && self.p99_delayed < self.p99_paper
-            && self.delayed.reuse.mad_evictions > 0
-            && self.delayed.reuse.ttna_admission_rejects > 0
-            && self.delayed.reuse.delayed_hit_ticks_saved > 0
-            && self.paper.reuse.mad_evictions == 0
-            && self.paper.reuse.ttna_admission_rejects == 0
-            && self.paper.reuse.delayed_hit_ticks_saved == 0
     }
 }
 
@@ -880,9 +732,8 @@ impl ScriptGateParams {
     }
 }
 
-/// Deterministic outcome of the script gate. Everything except
-/// `elapsed` is a pure function of `(seed, programs)` and the embedded
-/// corpus bytes.
+/// Deterministic outcome of the script gate: a pure function of
+/// `(seed, programs)` and the embedded corpus bytes.
 #[derive(Debug, Clone)]
 pub struct ScriptGateOutcome {
     /// Fuzz programs generated and executed through the differential.
@@ -896,8 +747,6 @@ pub struct ScriptGateOutcome {
     /// FNV fold of every corpus script's reuse-on sink digest, in
     /// corpus order.
     pub corpus_digest: u64,
-    /// Wall clock (informational; never gated).
-    pub elapsed: Duration,
 }
 
 impl ScriptGateOutcome {
@@ -916,10 +765,10 @@ impl ScriptGateOutcome {
 /// fuzzes `programs` generated programs under the same differential
 /// (reuse-on/off, `Paper`/`DelayedHits`, warm-restart).
 pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
+    use memphis_matrix::hash;
     use memphis_workloads::script;
 
-    let t0 = Instant::now();
-    let mut corpus_digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut corpus_digest = hash::FNV_OFFSET;
     let mut lowered_nodes = 0u64;
     let mut corpus_scripts = 0u64;
     for (name, src) in script::CORPUS {
@@ -932,8 +781,7 @@ pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
             script::digests_agree(&digests),
             "corpus script {name} diverged: {digests:?}"
         );
-        corpus_digest ^= digests[0].1;
-        corpus_digest = corpus_digest.wrapping_mul(0x0000_0100_0000_01b3);
+        corpus_digest = hash::fold(corpus_digest, digests[0].1, hash::FNV_PRIME);
         corpus_scripts += 1;
     }
 
@@ -944,24 +792,5 @@ pub fn run_script_gate(p: &ScriptGateParams) -> ScriptGateOutcome {
         lowered_nodes: lowered_nodes + fuzz.lowered_nodes,
         corpus_scripts,
         corpus_digest,
-        elapsed: t0.elapsed(),
-    }
-}
-
-/// Runs the gated skewed trace under both cache policies and computes
-/// the p99 virtual-latency of each.
-pub fn run_latency_gate(p: &LatencyGateParams) -> LatencyGateOutcome {
-    let t0 = Instant::now();
-    let params = memphis_workloads::LatencyParams::gate(p.seed);
-    let paper = memphis_workloads::run_latency(&params, memphis_core::CachePolicy::Paper);
-    let delayed = memphis_workloads::run_latency(&params, memphis_core::CachePolicy::DelayedHits);
-    let p99_paper = crate::gate::percentile(&paper.latencies, 99.0);
-    let p99_delayed = crate::gate::percentile(&delayed.latencies, 99.0);
-    LatencyGateOutcome {
-        paper,
-        delayed,
-        p99_paper,
-        p99_delayed,
-        elapsed: t0.elapsed(),
     }
 }

@@ -21,19 +21,11 @@
 //! iteration-order dependence. [`argmax_weight`] is the single place
 //! that implements the rule.
 
+use memphis_matrix::hash::mix;
 use std::cmp::Reverse;
 
 /// Identifies one cache node in the simulated cluster.
 pub type NodeId = u16;
-
-/// SplitMix64 finalizer: a bijective avalanche mix.
-#[inline]
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// HRW weight of `node` for the item with content hash `hash` under
 /// cluster `seed`. Pure: no global state, no allocation.

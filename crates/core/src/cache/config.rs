@@ -34,8 +34,6 @@ pub struct CacheConfig {
     /// Number of unmaterialized reuses of an RDD entry before an
     /// asynchronous `count()` job materializes it (paper default: 3).
     pub materialize_after_misses: u64,
-    /// Default delay factor n for delayed caching (1 = no delay).
-    pub default_delay: u32,
     /// Directory for disk-evicted local binaries.
     pub spill_dir: PathBuf,
     /// Promote disk-evicted entries back to memory on reuse.
@@ -84,7 +82,6 @@ impl CacheConfig {
             local_budget: 1 << 20,
             spark_reuse_fraction: 0.8,
             materialize_after_misses: 3,
-            default_delay: 1,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
             promote_on_disk_hit: true,
             spill_to_disk: true,
@@ -105,7 +102,6 @@ impl CacheConfig {
             local_budget: 64 << 20,
             spark_reuse_fraction: 0.8,
             materialize_after_misses: 3,
-            default_delay: 1,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
             promote_on_disk_hit: true,
             spill_to_disk: true,
@@ -135,6 +131,5 @@ mod tests {
         let c = CacheConfig::test();
         assert_eq!(c.spark_reuse_fraction, 0.8);
         assert_eq!(c.materialize_after_misses, 3);
-        assert_eq!(c.default_delay, 1);
     }
 }

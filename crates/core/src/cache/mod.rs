@@ -985,11 +985,6 @@ impl LineageCache {
             .unwrap_or(0)
     }
 
-    /// PUT with the configured default delay factor.
-    pub fn put_default(&self, item: &LItem, object: CachedObject, cost: f64, size_hint: usize) {
-        self.put(item, object, cost, size_hint, self.config.default_delay);
-    }
-
     /// The shared PUT path: decides under the key's shard lock whether
     /// to skip, defer, or store, then admits with no shard lock held.
     #[allow(clippy::too_many_arguments)]

@@ -28,6 +28,7 @@
 //! allocation-free, lock-free-on-probe identity — the same trade
 //! SystemDS-style lineage dedup makes.
 
+use memphis_matrix::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -103,13 +104,6 @@ pub struct LineageItem {
     pub hash: u64,
     /// DAG height: leaves have height 1.
     pub height: u32,
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -232,15 +226,12 @@ fn intern_node(
 impl LineageItem {
     /// Creates an operator node over `inputs`.
     pub fn new(opcode: &str, data: Vec<String>, inputs: Vec<LItem>) -> LItem {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut hash, opcode.as_bytes());
+        let mut hash = fnv1a(FNV_OFFSET, opcode.as_bytes());
         for d in &data {
-            fnv(&mut hash, &[0xfe]);
-            fnv(&mut hash, d.as_bytes());
+            hash = fnv1a(fnv1a(hash, &[0xfe]), d.as_bytes());
         }
         for i in &inputs {
-            fnv(&mut hash, &[0xff]);
-            fnv(&mut hash, &i.hash.to_le_bytes());
+            hash = fnv1a(fnv1a(hash, &[0xff]), &i.hash.to_le_bytes());
         }
         let height = 1 + inputs.iter().map(|i| i.height).max().unwrap_or(0);
         intern_node(Arc::from(opcode), data, inputs, hash, height)

@@ -1,6 +1,7 @@
 //! Dense, row-major `f64` matrix type.
 
 use crate::error::{MatrixError, Result};
+use crate::hash;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -222,17 +223,10 @@ impl Matrix {
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
             // FNV-1a over the shape and raw bit patterns.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |x: u64| {
-                for b in x.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            };
-            mix(self.rows as u64);
-            mix(self.cols as u64);
+            let mut h = hash::fnv1a(hash::FNV_OFFSET, &(self.rows as u64).to_le_bytes());
+            h = hash::fnv1a(h, &(self.cols as u64).to_le_bytes());
             for v in self.data.iter() {
-                mix(v.to_bits());
+                h = hash::fnv1a(h, &v.to_bits().to_le_bytes());
             }
             h
         })

@@ -15,6 +15,7 @@
 pub mod blocked;
 pub mod dense;
 pub mod error;
+pub mod hash;
 pub mod io;
 pub mod ops;
 pub mod rand_gen;

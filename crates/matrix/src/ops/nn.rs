@@ -198,7 +198,7 @@ pub fn dropout(m: &Matrix, rate: f64, seed: u64) -> Matrix {
     let keep = 1.0 - rate;
     let scale = 1.0 / keep;
     // xorshift64* stream, cheap and deterministic.
-    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut s = seed.wrapping_mul(crate::hash::GOLDEN_GAMMA) | 1;
     let mut next = move || {
         s ^= s >> 12;
         s ^= s << 25;

@@ -18,10 +18,10 @@
 //! the clock.
 
 use crate::request::{Request, TenantId, Work};
-use crate::rng;
 use crate::scheduler::{shared_item, shared_payload};
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, ClusterStatsSnapshot, NodeId};
 use memphis_core::CachedObject;
+use memphis_matrix::hash::{self, hash4};
 use memphis_workloads::pipelines;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -155,11 +155,8 @@ impl ClusterDispatcher {
     /// The node a tenant's requests land on: HRW over the mixed tenant
     /// id, so tenants re-route minimally when membership changes.
     pub fn route(&self, tenant: TenantId) -> NodeId {
-        self.cluster.route_hash(rng::hash(
-            self.cfg.seed,
-            SALT_ROUTE,
-            [tenant as u64, 0, 0, 0],
-        ))
+        self.cluster
+            .route_hash(hash4(self.cfg.seed, SALT_ROUTE, [tenant as u64, 0, 0, 0]))
     }
 
     /// Dispatches a trace in `(arrival, id)` order. Epochs fire on the
@@ -173,11 +170,8 @@ impl ClusterDispatcher {
         let mut order: Vec<&Request> = requests.iter().collect();
         order.sort_by_key(|r| (r.arrival, r.id));
 
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x1000_0000_01b3);
-        };
+        let mut digest = hash::FNV_OFFSET;
+        let mut fold = |v: u64| digest = hash::fold(digest, v, hash::DIGEST_MUL);
         let mut checks = Vec::new();
         let mut node_requests: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut shared = 0u64;

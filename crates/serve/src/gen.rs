@@ -7,7 +7,8 @@
 //! surface.
 
 use crate::request::{Priority, Request, TenantId, Work};
-use crate::rng::{hash, salt};
+use crate::rng::salt;
+use memphis_matrix::hash::hash4;
 use memphis_workloads::pipelines;
 
 /// Shape of a generated request stream.
@@ -69,8 +70,8 @@ pub fn open_loop(seed: u64, spec: &StreamSpec) -> Vec<Request> {
     let mut out = Vec::with_capacity(spec.requests);
     for i in 0..spec.requests {
         let idx = i as u64;
-        arrival += hash(seed, salt::ARRIVAL, [idx, 0, 0, 0]) % (2 * spec.mean_gap + 1);
-        let h = hash(seed, salt::SHAPE, [idx, 0, 0, 0]);
+        arrival += hash4(seed, salt::ARRIVAL, [idx, 0, 0, 0]) % (2 * spec.mean_gap + 1);
+        let h = hash4(seed, salt::SHAPE, [idx, 0, 0, 0]);
 
         let is_hog = match spec.hog_tenant {
             Some(_) => spec.hog_every > 0 && i % spec.hog_every == 0,

@@ -1,33 +1,9 @@
-//! SplitMix64 decision hashing — the same idiom as
-//! `memphis_sparksim::fault`: every probabilistic serving decision (task
-//! faults, arrival jitter, request shapes) is a pure function of
+//! Decision-kind salts of the serving layer's SplitMix64 decision
+//! hashing ([`memphis_matrix::hash::hash4`], the same idiom as
+//! `memphis_sparksim::fault`): every probabilistic serving decision
+//! (task faults, arrival jitter, request shapes) is a pure function of
 //! `(seed, salt, coordinates)`, so a run is bit-identical across
 //! repetitions and worker-thread counts.
-
-/// SplitMix64 finalizer: turns `(seed, coordinates)` into an
-/// i.i.d.-looking decision stream.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Combines the seed, a per-decision-kind salt, and up to four
-/// coordinates into a raw 64-bit hash.
-pub(crate) fn hash(seed: u64, salt: u64, coords: [u64; 4]) -> u64 {
-    let mut h = mix(seed ^ salt.wrapping_mul(0xa076_1d64_78bd_642f));
-    for c in coords {
-        h = mix(h ^ c);
-    }
-    h
-}
-
-/// Like [`hash`], folded to a uniform value in `[0, 1)`.
-pub(crate) fn decide(seed: u64, salt: u64, coords: [u64; 4]) -> f64 {
-    // 53 bits of mantissa → uniform in [0, 1).
-    (hash(seed, salt, coords) >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Decision-kind salts (arbitrary, distinct).
 pub(crate) mod salt {
@@ -42,20 +18,21 @@ pub(crate) mod salt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memphis_matrix::hash::decide4;
 
     #[test]
     fn decisions_are_pure_and_uniformish() {
         assert_eq!(
-            decide(42, salt::FAULT, [1, 2, 3, 4]),
-            decide(42, salt::FAULT, [1, 2, 3, 4])
+            decide4(42, salt::FAULT, [1, 2, 3, 4]),
+            decide4(42, salt::FAULT, [1, 2, 3, 4])
         );
         assert_ne!(
-            decide(42, salt::FAULT, [1, 2, 3, 4]),
-            decide(42, salt::ARRIVAL, [1, 2, 3, 4])
+            decide4(42, salt::FAULT, [1, 2, 3, 4]),
+            decide4(42, salt::ARRIVAL, [1, 2, 3, 4])
         );
         let n = 4000;
         let mean = (0..n)
-            .map(|i| decide(7, salt::SHAPE, [i, 0, 0, 0]))
+            .map(|i| decide4(7, salt::SHAPE, [i, 0, 0, 0]))
             .sum::<f64>()
             / n as f64;
         assert!((mean - 0.5).abs() < 0.05, "mean {mean} far from uniform");

@@ -36,12 +36,13 @@ use crate::admission::{TenantCaps, TokenBucket};
 use crate::pressure::{PressureLevel, PressureMonitor};
 use crate::queue::RequestQueue;
 use crate::request::{Outcome, Request, TenantId, Work};
-use crate::rng::{decide, salt};
+use crate::rng::salt;
 use crate::stats::ServeCounters;
 use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::{ComputeGuard, LineageCache, MemoryPressure, Probed};
 use memphis_core::lineage::{LItem, LineageId, LineageItem};
 use memphis_core::stats::ReuseStatsSnapshot;
+use memphis_matrix::hash::decide4;
 use memphis_matrix::Matrix;
 use memphis_obs::cat;
 use memphis_sparksim::FaultPlan;
@@ -592,7 +593,7 @@ impl Scheduler {
         for &id in batch {
             let i = by_id[&id];
             let st = &mut table[i];
-            let faulted = decide(
+            let faulted = decide4(
                 self.cfg.faults.seed,
                 salt::FAULT,
                 [st.req.id, st.attempts as u64, 0, 0],

@@ -11,25 +11,9 @@
 
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, ClusterStatsSnapshot, NodeId};
 use memphis_core::{CachedObject, LItem, LineageItem};
+use memphis_matrix::hash::{self, decide1, hash1, mix};
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// SplitMix64 finalizer (same mix the serve dispatcher uses).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn hash(seed: u64, salt: u64, coord: u64) -> u64 {
-    mix(mix(seed ^ mix(salt)) ^ coord)
-}
-
-/// Uniform in [0, 1) from the top 53 bits.
-fn decide(seed: u64, salt: u64, coord: u64) -> f64 {
-    (hash(seed, salt, coord) >> 11) as f64 / (1u64 << 53) as f64
-}
 
 mod salt {
     pub const TENANT: u64 = 0xc1a0_0001;
@@ -208,11 +192,8 @@ pub fn run_cluster(p: &ClusterParams) -> ClusterReport {
         usize::MAX
     };
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x1000_0000_01b3);
-    };
+    let mut digest = hash::FNV_OFFSET;
+    let mut fold = |v: u64| digest = hash::fold(digest, v, hash::DIGEST_MUL);
     let mut computed: HashSet<usize> = HashSet::new();
     let mut recomputes = 0u64;
     let mut invalidations_issued = 0u64;
@@ -226,19 +207,19 @@ pub fn run_cluster(p: &ClusterParams) -> ClusterReport {
             cluster.leave(0);
         }
         if p.invalidate_every > 0 && r > 0 && r % p.invalidate_every == 0 {
-            let idx = (hash(p.seed, salt::INVALIDATE, r as u64) % p.hot_items as u64) as usize;
+            let idx = (hash1(p.seed, salt::INVALIDATE, r as u64) % p.hot_items as u64) as usize;
             cluster.invalidate(&cluster_item(idx));
             computed.remove(&idx);
             invalidations_issued += 1;
         }
 
-        let tenant = hash(p.seed, salt::TENANT, r as u64) % p.tenants as u64;
+        let tenant = hash1(p.seed, salt::TENANT, r as u64) % p.tenants as u64;
         let origin = cluster.route_hash(mix(p.seed ^ mix(tenant)));
-        let idx = if decide(p.seed, salt::SKEW, r as u64) < p.hot_frac {
-            (hash(p.seed, salt::HOT, r as u64) % p.hot_items as u64) as usize
+        let idx = if decide1(p.seed, salt::SKEW, r as u64) < p.hot_frac {
+            (hash1(p.seed, salt::HOT, r as u64) % p.hot_items as u64) as usize
         } else {
             p.hot_items
-                + (hash(p.seed, salt::COLD, r as u64) % (p.items - p.hot_items) as u64) as usize
+                + (hash1(p.seed, salt::COLD, r as u64) % (p.items - p.hot_items) as u64) as usize
         };
         let item = cluster_item(idx);
 

@@ -14,5 +14,5 @@ pub mod serve;
 
 pub use cluster::{run_cluster, ClusterParams, ClusterReport};
 pub use harness::{run_timed, Backends, WorkloadOutcome};
-pub use latency::{run_latency, LatencyParams, LatencyReport};
+pub use latency::{percentile, run_latency, LatencyParams, LatencyReport};
 pub use serve::{run_serve, ServeParams, ServeReport};

@@ -13,6 +13,7 @@ use memphis_engine::compiler::Ordering;
 use memphis_engine::context::{EngineError, Result as EngineResult};
 use memphis_engine::interp::run_program;
 use memphis_engine::{EngineConfig, ExecutionContext, ReuseMode, Value};
+use memphis_matrix::hash;
 use memphis_matrix::ops::binary::{binary_scalar, BinaryOp};
 use memphis_matrix::rand_gen::rand_uniform;
 use memphis_matrix::Matrix;
@@ -110,7 +111,7 @@ pub fn sink_digest(
     ctx: &mut ExecutionContext,
     sinks: &[String],
 ) -> EngineResult<(u64, Vec<(String, u64)>)> {
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = hash::FNV_OFFSET;
     let mut per = Vec::new();
     for s in sinks {
         let shape = ctx.value(s)?.shape();
@@ -119,8 +120,7 @@ pub fn sink_digest(
         } else {
             ctx.get_matrix(s)?.fingerprint()
         };
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest = hash::fold(digest, bits, hash::FNV_PRIME);
         per.push((s.clone(), bits));
     }
     Ok((digest, per))

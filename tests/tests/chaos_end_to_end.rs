@@ -5,17 +5,11 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_engine::EngineConfig;
+use memphis_integration::chaos_seed;
 use memphis_sparksim::stats::StatsSnapshot;
 use memphis_sparksim::{FaultPlan, SparkConfig};
 use memphis_workloads::harness::Backends;
 use memphis_workloads::pipelines::{hband, hcv, pnmf};
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 fn chaos_plan(seed: u64) -> FaultPlan {
     // Up to 30% of task attempts fail, cached partitions and shuffle

@@ -16,6 +16,19 @@ fn workflow() -> String {
         .expect("ci workflow exists")
 }
 
+fn ci_script() -> String {
+    std::fs::read_to_string(repo_root().join("ci.sh")).expect("ci.sh exists")
+}
+
+/// The body of `ci.sh`'s `stage_<name>` function.
+fn stage_body(sh: &str, name: &str) -> String {
+    let start = sh
+        .find(&format!("stage_{name}() {{"))
+        .unwrap_or_else(|| panic!("ci.sh: missing stage function stage_{name}"));
+    let body = &sh[start..];
+    body[..body.find("\n}\n").expect("ci.sh: unterminated stage")].to_string()
+}
+
 /// Leading-space count of a line.
 fn indent(line: &str) -> usize {
     line.len() - line.trim_start_matches(' ').len()
@@ -95,10 +108,26 @@ fn workflow_uploads_observability_artifacts() {
     assert!(y.contains("exp_latency.metrics.json"));
     assert!(y.contains("exp_script.trace.json"));
     assert!(y.contains("exp_script.metrics.json"));
+
+    // The experiments stage writes every uploaded artifact: it runs
+    // each experiment once with both observability flags.
+    let body = stage_body(&ci_script(), "experiments");
     assert!(
-        y.contains("--trace") && y.contains("--json"),
-        "ci.yml: exp run must request trace + metrics artifacts"
+        body.contains(r#"--trace "$exp.trace.json" --json "$exp.metrics.json""#),
+        "ci.sh: experiments must pass --trace and --json"
     );
+    for artifact in y
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.ends_with(".trace.json") || l.ends_with(".metrics.json"))
+    {
+        let exp = artifact.split('.').next().unwrap();
+        assert!(
+            body.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .any(|w| w == exp),
+            "ci.sh: experiments never runs {exp}, but CI uploads {artifact}"
+        );
+    }
 }
 
 #[test]
@@ -123,133 +152,50 @@ fn workflow_actions_are_version_pinned() {
 fn invoked_scripts_exist_and_are_executable() {
     #[cfg(unix)]
     use std::os::unix::fs::PermissionsExt;
-    let root = repo_root();
-    for script in ["ci.sh", "ci/bench_gate.sh"] {
-        let path = root.join(script);
-        let meta = std::fs::metadata(&path)
-            .unwrap_or_else(|e| panic!("{script} referenced by CI is missing: {e}"));
-        #[cfg(unix)]
-        assert!(
-            meta.permissions().mode() & 0o111 != 0,
-            "{script} must be executable"
-        );
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with("#!"), "{script} must start with a shebang");
-        assert!(
-            body.contains("set -euo pipefail"),
-            "{script} must fail fast"
-        );
-    }
-    // The bench gate compares against a committed baseline that must
-    // carry every gated counter.
-    let baseline = std::fs::read_to_string(root.join("ci/BENCH_baseline.json")).unwrap();
-    for key in [
-        "hits",
-        "recomputes",
-        "evictions",
-        "coalesced_hits",
-        "duplicates",
-        "serve_shed",
-        "serve_coalesced",
-        "serve_quota_evictions",
-        "segments_recovered",
-        "entries_rehydrated",
-        "checksum_rejects",
-        "manifest_swaps",
-        "remote_hits",
-        "remote_misses",
-        "transfer_bytes",
-        "rebalance_moves",
-        "replica_hits",
-        "replica_invalidations",
-        "latency_served",
-        "latency_p99_paper",
-        "latency_p99_delayed",
-        "latency_mad_evictions",
-        "latency_ttna_rejects",
-        "latency_delay_ticks_saved",
-        "script_programs_fuzzed",
-        "script_divergences",
-        "script_lowered_nodes",
-        "script_corpus_scripts",
-        "script_corpus_digest",
-    ] {
-        assert!(
-            baseline.contains(&format!("\"{key}\"")),
-            "BENCH_baseline.json: missing gated counter `{key}`"
-        );
-    }
+    let path = repo_root().join("ci.sh");
+    let meta = std::fs::metadata(&path)
+        .unwrap_or_else(|e| panic!("ci.sh referenced by CI is missing: {e}"));
+    #[cfg(unix)]
+    assert!(
+        meta.permissions().mode() & 0o111 != 0,
+        "ci.sh must be executable"
+    );
+    let body = ci_script();
+    assert!(body.starts_with("#!"), "ci.sh must start with a shebang");
+    assert!(body.contains("set -euo pipefail"), "ci.sh must fail fast");
 }
 
 #[test]
 fn ci_script_defines_all_stages() {
-    let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
-    for stage in [
-        "stage_build",
-        "stage_test",
-        "stage_chaos",
-        "stage_obs",
-        "stage_concurrency",
-        "stage_serve",
-        "stage_cluster",
-        "stage_recovery",
-        "stage_latency",
-        "stage_script",
-        "stage_bench_gate",
-        "stage_perf",
-        "stage_perfbench",
-        "stage_lint",
-    ] {
-        assert!(
-            sh.contains(&format!("{stage}()")),
-            "ci.sh: missing stage function {stage}"
-        );
-    }
-    // The perf stage writes the committed perf report and gates the
-    // deterministic counter slice against the same baseline as the
-    // bench gate.
-    assert!(sh.contains("--bin perf_stress"));
-    assert!(sh.contains("BENCH_pr6.json ci/BENCH_baseline.json"));
-    // The concurrency stage runs under both chaos seeds, parallel and
-    // single-threaded.
-    assert!(sh.contains("--test concurrency"));
-    assert!(sh.contains("42 1337"));
-    assert!(sh.contains("--skip-lint"));
-    // The serve stage runs the disk-tier and serving suites plus the
-    // full experiment binary.
-    assert!(sh.contains("--test disk_tier"));
-    assert!(sh.contains("--test serving"));
-    assert!(sh.contains("--bin exp_serve"));
-    // The cluster stage runs the sharding/churn/replication suite under
-    // both chaos seeds (plus a single-threaded pass) and the full
-    // experiment binary.
-    assert!(sh.contains("--test cluster"));
-    assert!(sh.contains("--bin exp_cluster"));
-    // The recovery stage runs the crash-recovery differential suite
-    // under both chaos seeds, with one single-threaded pass.
-    assert!(sh.contains("--test crash_recovery"));
-    // The latency stage runs the delayed-hits suite under both chaos
-    // seeds (plus a single-threaded pass) and the full experiment
-    // binary.
-    assert!(sh.contains("--test latency"));
-    assert!(sh.contains("--bin exp_latency"));
-    // The script stage runs the frontend + fuzzer suites under both
-    // chaos seeds (plus a single-threaded pass) and the full experiment
-    // binary.
-    assert!(sh.contains("--test script"));
-    assert!(sh.contains("-p memphis-script"));
-    assert!(sh.contains("--bin exp_script"));
-    // The perfbench stage runs the benchmark's own tests and a short
-    // correctness-checked `cluster` run, and is part of the default set.
-    assert!(sh.contains("--manifest-path perfbench/Cargo.toml"));
-    assert!(sh.contains("perfbench/run.py --workload cluster --seed 42 --seconds 2 --trace 0"));
+    let sh = ci_script();
     let all = sh
         .lines()
-        .find(|l| l.starts_with("ALL_STAGES=("))
+        .find_map(|l| l.strip_prefix("ALL_STAGES=("))
         .expect("ci.sh: ALL_STAGES missing");
+    assert_eq!(all, "build test experiments perfbench lint)");
+    for stage in all.trim_end_matches(')').split(' ') {
+        assert!(
+            sh.contains(&format!("stage_{stage}() {{")),
+            "ci.sh: missing stage function stage_{stage}"
+        );
+    }
+    assert!(sh.contains("--skip-lint"));
+    // The test stage is a seed matrix over the whole suite: both chaos
+    // seeds, each in parallel and single-threaded.
+    let test = stage_body(&sh, "test");
+    let seed_loop = test
+        .split("for seed in 42 1337; do")
+        .nth(1)
+        .and_then(|rest| rest.split("done").next())
+        .expect("ci.sh: the test stage must loop over seeds 42 and 1337");
+    assert!(seed_loop.contains("CHAOS_SEED=\"$seed\" cargo test -q\n"));
+    assert!(seed_loop.contains("CHAOS_SEED=\"$seed\" cargo test -q -- --test-threads=1"));
+    // The perfbench stage runs the benchmark's own tests and a short
+    // correctness-checked `cluster` run.
+    let perfbench = stage_body(&sh, "perfbench");
+    assert!(perfbench.contains("--manifest-path perfbench/Cargo.toml"));
     assert!(
-        all.contains(" perfbench "),
-        "ci.sh: perfbench not in ALL_STAGES"
+        perfbench.contains("perfbench/run.py --workload cluster --seed 42 --seconds 2 --trace 0")
     );
 }
 
@@ -258,7 +204,7 @@ fn ci_script_prints_stage_summary_on_failure() {
     // `set -e` kills the script mid-stage on the first red command; an
     // EXIT trap must still print the stage-timing summary and mark the
     // failing stage, or red runs lose their most useful output.
-    let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
+    let sh = ci_script();
     assert!(
         sh.contains("trap print_summary EXIT"),
         "ci.sh: the stage summary must be installed as an EXIT trap"

@@ -14,18 +14,13 @@
 
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, NodeId};
 use memphis_core::CachedObject;
+use memphis_integration::chaos_seed;
+use memphis_matrix::hash::{fold, DIGEST_MUL, FNV_OFFSET, GOLDEN_GAMMA};
 use memphis_workloads::cluster::{cluster_item, cluster_payload};
 use memphis_workloads::{run_cluster, ClusterParams};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 fn payload_bytes(o: &CachedObject) -> usize {
     match o {
@@ -36,7 +31,7 @@ fn payload_bytes(o: &CachedObject) -> usize {
 
 /// The deterministic origin node item `i` is requested from.
 fn origin_of(cluster: &ClusterCache, i: usize) -> NodeId {
-    cluster.route_hash((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    cluster.route_hash((i as u64).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Computes item `i` through the cluster probe path from a
@@ -254,7 +249,7 @@ fn begin_then_complete(cluster: &ClusterCache, i: usize, between: impl FnOnce(No
 /// Order-sensitive fold of the fingerprints served for `items`, each
 /// read without computing — a lost entry panics.
 fn served_digest(cluster: &ClusterCache, items: &BTreeSet<usize>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &i in items {
         let (hit, _) = cluster
             .probe_from(origin_of(cluster, i), &cluster_item(i))
@@ -263,7 +258,7 @@ fn served_digest(cluster: &ClusterCache, items: &BTreeSet<usize>) -> u64 {
             CachedObject::Matrix(m) => m.fingerprint(),
             _ => panic!("expected the matrix payload"),
         };
-        h = (h ^ fp).wrapping_mul(0x1000_0000_01b3);
+        h = fold(h, fp, DIGEST_MUL);
     }
     h
 }

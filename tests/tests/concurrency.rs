@@ -10,6 +10,7 @@ use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::{LineageCache, Probed};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_engine::{EngineConfig, ExecutionContext, ReuseMode};
+use memphis_integration::chaos_seed;
 use memphis_matrix::Matrix;
 use memphis_sparksim::SparkConfig;
 use memphis_workloads::harness::Backends;
@@ -17,13 +18,6 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 fn payload() -> Matrix {
     Matrix::zeros(16, 16)

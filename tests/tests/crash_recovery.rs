@@ -1,7 +1,7 @@
 //! Crash-recovery differential suite for the durable disk tier.
 //!
 //! Two layers of coverage, both chaos-seeded (`CHAOS_SEED` 42 and 1337,
-//! driven by `ci.sh`'s `recovery` stage):
+//! driven by `ci.sh`'s `test` stage):
 //!
 //! 1. **Kill-at-every-sync sweep** — run an end-to-end workload (hcv /
 //!    pnmf / hband warm-session sequences) over a persistent disk tier
@@ -29,6 +29,7 @@ use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::durable::{empty_digest, DurableRecord, SegmentStore};
 use memphis_core::cache::LineageCache;
 use memphis_core::stats::ReuseStats;
+use memphis_integration::chaos_seed;
 use memphis_sparksim::FaultPlan;
 use memphis_workloads::pipelines;
 use proptest::prelude::*;
@@ -36,13 +37,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// A unique scratch directory per test invocation.
 fn scratch(name: &str) -> PathBuf {

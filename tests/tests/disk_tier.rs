@@ -8,17 +8,11 @@ use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::LineageCache;
 use memphis_core::lineage::{LItem, LineageItem};
+use memphis_integration::chaos_seed;
 use memphis_matrix::rand_gen::rand_uniform;
 use memphis_matrix::Matrix;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 fn item(name: &str) -> LItem {
     LineageItem::leaf(name)

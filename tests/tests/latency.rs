@@ -16,24 +16,11 @@ use memphis_core::{
     CacheConfig, CachePolicy, CachedObject, EvictionPolicy, LineageCache, LineageItem,
     MemoryPressure, Probed, ReuseStats,
 };
+use memphis_integration::chaos_seed;
 use memphis_workloads::latency::{latency_payload, LatencyParams};
-use memphis_workloads::run_latency;
+use memphis_workloads::{percentile, run_latency};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-fn p99(samples: &[u64]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((99.0 / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 fn payload(i: usize) -> CachedObject {
     latency_payload(0x7e57, i)
@@ -301,11 +288,13 @@ fn gate_scale_p99_drops_under_delayed_hits() {
 
     assert_eq!(paper.digest, delayed.digest, "policy changed served bytes");
     assert_eq!(paper.served, delayed.served);
+    let (p99_paper, p99_delayed) = (
+        percentile(&paper.latencies, 99.0),
+        percentile(&delayed.latencies, 99.0),
+    );
     assert!(
-        p99(&delayed.latencies) < p99(&paper.latencies),
-        "p99 paper={} delayed={}",
-        p99(&paper.latencies),
-        p99(&delayed.latencies)
+        p99_delayed < p99_paper,
+        "p99 paper={p99_paper} delayed={p99_delayed}"
     );
     assert!(delayed.reuse.mad_evictions > 0);
     assert!(delayed.reuse.ttna_admission_rejects > 0);

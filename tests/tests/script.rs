@@ -14,18 +14,12 @@
 //! panic.
 
 use memphis_core::{CacheConfig, CachePolicy, LineageCache};
+use memphis_integration::chaos_seed;
 use memphis_workloads::pipelines::{session_context, SCRIPT_SESSION_MIX};
 use memphis_workloads::script::{
     corpus_source, differential_digests, digests_agree, fuzz_campaign, run_corpus, CORPUS,
 };
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 // ----------------------------------------------------------------------
 // Round-trip stability

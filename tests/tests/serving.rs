@@ -10,19 +10,13 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::LineageCache;
+use memphis_integration::chaos_seed;
 use memphis_serve::{
     open_loop, Outcome, Priority, Scheduler, ServeConfig, ServeReport, StreamSpec,
 };
 use memphis_sparksim::FaultPlan;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn chaos_seed() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// The hog tenant in [`spec`]'s stream (private items, 4x memory).
 const HOG: u16 = 3;
