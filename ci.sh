@@ -96,6 +96,7 @@ stage_perfbench() {
 stage_lint() {
     cargo clippy --all-targets -- -D warnings
     cargo fmt --check
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 }
 
 ALL_STAGES=(build test experiments perfbench lint)

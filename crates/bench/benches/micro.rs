@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::gpu::GpuMemoryManager;
-use memphis_core::cache::LineageCache;
+use memphis_core::cache::{Admit, LineageCache};
 use memphis_core::lineage::{lineage_eq, LineageItem};
 use memphis_core::stats::ReuseStats;
 use memphis_gpusim::{GpuConfig, GpuDevice};
@@ -40,7 +40,7 @@ fn bench_cache(c: &mut Criterion) {
         .map(|i| LineageItem::new("op", vec![i.to_string()], vec![LineageItem::leaf("X")]))
         .collect();
     for (i, it) in items.iter().enumerate() {
-        cache.put(it, CachedObject::Scalar(i as f64), 1.0, 16, 1);
+        cache.put(it, CachedObject::Scalar(i as f64), Admit::new(1.0, 16));
     }
     c.bench_function("cache/probe_hit_10k_entries", |bench| {
         let mut i = 0usize;

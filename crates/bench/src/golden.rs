@@ -8,6 +8,7 @@
 //! deterministic at any scale (wall clock is not).
 
 use crate::{bench_cache, bench_gpu, bench_spark};
+use memphis_core::cache::Admit;
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_engine::{EngineConfig, ReuseMode};
 use memphis_gpusim::GpuDevice;
@@ -449,9 +450,7 @@ pub fn run_concurrency_gate(p: &ConcGateParams) -> ConcGateOutcome {
                     cache.complete(
                         g,
                         CachedObject::Matrix(Arc::new(payload.clone())),
-                        10.0,
-                        psize,
-                        1,
+                        Admit::new(10.0, psize),
                     );
                 }
             }
@@ -469,9 +468,7 @@ pub fn run_concurrency_gate(p: &ConcGateParams) -> ConcGateOutcome {
         churn_cache.put(
             &item,
             CachedObject::Matrix(Arc::new(payload.clone())),
-            1.0 + i as f64,
-            psize,
-            1,
+            Admit::new(1.0 + i as f64, psize),
         );
     }
     let churn_stats = churn_cache.stats();

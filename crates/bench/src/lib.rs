@@ -1,4 +1,4 @@
-//! Shared experiment utilities: configuration scaling, reporting, and the
+//! Shared experiment utilities: reporting and the
 //! standard MEMPHIS configurations (Base, Base-A, LIMA, HELIX, MPH-NA,
 //! MPH) used by the per-figure experiment binaries.
 
@@ -13,17 +13,6 @@ use memphis_sparksim::SparkConfig;
 use memphis_workloads::harness::{Backends, WorkloadOutcome};
 use parking_lot::Mutex;
 use std::path::PathBuf;
-
-/// Optional scale divisor read from the `MEMPHIS_SCALE` environment
-/// variable, for harness authors sizing custom sweeps. The bundled
-/// experiment binaries use fixed scaled parameters (documented per
-/// binary) and do not consult it.
-pub fn scale() -> usize {
-    std::env::var("MEMPHIS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
 
 // ----------------------------------------------------------------------
 // Observability session: `--trace <path>` / `--json <path>`

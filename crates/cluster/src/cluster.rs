@@ -28,8 +28,8 @@ use crate::net::NetworkModel;
 use crate::placement::{owner_of, rank_order, NodeId};
 use crate::stats::{ClusterStats, ClusterStatsSnapshot};
 use memphis_core::{
-    resolve, BackendSnapshot, CacheConfig, CachedObject, ComputeGuard, LItem, LineageCache,
-    LineageId, ProbeHit, Probed, ResidentEntry, ReuseStatsSnapshot,
+    resolve, Admit, CacheConfig, CachedObject, ComputeGuard, LItem, LineageCache, LineageId,
+    Probed, ResidentEntry, ReuseStatsSnapshot,
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -101,8 +101,8 @@ impl Locality {
 pub enum ClusterProbed {
     /// Served from somewhere in the cluster.
     Hit {
-        /// The cached object and canonical item.
-        hit: ProbeHit,
+        /// The cached object (cloned handle).
+        object: CachedObject,
         /// Which copy served it.
         locality: Locality,
     },
@@ -291,15 +291,6 @@ impl ClusterCache {
         m.nodes.iter().map(|(&n, c)| (n, c.stats())).collect()
     }
 
-    /// Per-node backend snapshots (entry counts, used bytes, ...).
-    pub fn node_backend_snapshots(&self) -> Vec<(NodeId, Vec<BackendSnapshot>)> {
-        let m = self.meta.lock();
-        m.nodes
-            .iter()
-            .map(|(&n, c)| (n, c.backend_snapshots()))
-            .collect()
-    }
-
     fn pay(&self, ticks: u64) {
         self.clock.fetch_add(ticks, Ordering::Relaxed);
     }
@@ -353,16 +344,16 @@ impl ClusterCache {
     /// One serving attempt across every copy the metadata knows about.
     /// Read preference order: origin-local replica (free) -> primary at
     /// its directory location -> remote replica -> staged handoff.
-    fn try_serve(&self, origin: NodeId, item: &LItem) -> Option<(ProbeHit, Locality)> {
+    fn try_serve(&self, origin: NodeId, item: &LItem) -> Option<(CachedObject, Locality)> {
         let key = item.lid;
         let plan = self.plan(origin, key);
 
         // Cheapest first: a replica on the origin node costs nothing.
         if plan.origin_replica {
             if let Some(cache) = &plan.origin_cache {
-                if let Some(hit) = cache.probe(item) {
+                if let Some(object) = cache.probe(item) {
                     ClusterStats::inc(&self.stats.replica_hits);
-                    return Some((hit, Locality::Replica(origin)));
+                    return Some((object, Locality::Replica(origin)));
                 }
             }
             self.prune_replica(key, origin);
@@ -370,20 +361,20 @@ impl ClusterCache {
 
         if let Some((node, cache)) = &plan.primary {
             if *node == origin {
-                if let Some(hit) = cache.probe(item) {
+                if let Some(object) = cache.probe(item) {
                     ClusterStats::inc(&self.stats.local_hits);
-                    return Some((hit, Locality::Local(origin)));
+                    return Some((object, Locality::Local(origin)));
                 }
                 self.forget_primary(key, *node);
             } else {
                 let _span = memphis_obs::span(memphis_obs::cat::CLUSTER, "remote_probe");
                 self.pay(self.cfg.net.probe_ticks());
-                if let Some(hit) = cache.probe(item) {
-                    let bytes = object_bytes(&hit.object);
+                if let Some(object) = cache.probe(item) {
+                    let bytes = object_bytes(&object);
                     ClusterStats::inc(&self.stats.remote_hits);
                     ClusterStats::add(&self.stats.transfer_bytes, bytes as u64);
                     self.pay(self.cfg.net.transfer_ticks(bytes));
-                    return Some((hit, Locality::Remote(*node)));
+                    return Some((object, Locality::Remote(*node)));
                 }
                 // Directory pointed at an entry the node since evicted.
                 ClusterStats::inc(&self.stats.remote_misses);
@@ -394,13 +385,13 @@ impl ClusterCache {
         for (node, cache) in &plan.remote_replicas {
             let _span = memphis_obs::span(memphis_obs::cat::CLUSTER, "remote_probe");
             self.pay(self.cfg.net.probe_ticks());
-            if let Some(hit) = cache.probe(item) {
-                let bytes = object_bytes(&hit.object);
+            if let Some(object) = cache.probe(item) {
+                let bytes = object_bytes(&object);
                 ClusterStats::inc(&self.stats.replica_hits);
                 ClusterStats::inc(&self.stats.remote_hits);
                 ClusterStats::add(&self.stats.transfer_bytes, bytes as u64);
                 self.pay(self.cfg.net.transfer_ticks(bytes));
-                return Some((hit, Locality::Replica(*node)));
+                return Some((object, Locality::Replica(*node)));
             }
             self.prune_replica(key, *node);
         }
@@ -410,20 +401,14 @@ impl ClusterCache {
             ClusterStats::inc(&self.stats.handoff_hits);
             ClusterStats::add(&self.stats.transfer_bytes, entry.size as u64);
             self.pay(self.cfg.net.transfer_ticks(entry.size));
-            return Some((
-                ProbeHit {
-                    object: entry.object,
-                    canonical: resolve(key),
-                },
-                Locality::Handoff,
-            ));
+            return Some((entry.object, Locality::Handoff));
         }
         None
     }
 
-    /// Cluster probe without computation ownership: returns the hit and
+    /// Cluster probe without computation ownership: returns the object and
     /// where it came from, or `None` (counted as a cluster miss).
-    pub fn probe_from(&self, origin: NodeId, item: &LItem) -> Option<(ProbeHit, Locality)> {
+    pub fn probe_from(&self, origin: NodeId, item: &LItem) -> Option<(CachedObject, Locality)> {
         let _span = memphis_obs::span(memphis_obs::cat::CLUSTER, "cluster_probe");
         ClusterStats::inc(&self.stats.probes);
         let served = self.try_serve(origin, item);
@@ -441,8 +426,8 @@ impl ClusterCache {
     pub fn probe_or_begin_from(&self, origin: NodeId, item: &LItem) -> ClusterProbed {
         let _span = memphis_obs::span(memphis_obs::cat::CLUSTER, "cluster_probe");
         ClusterStats::inc(&self.stats.probes);
-        if let Some((hit, locality)) = self.try_serve(origin, item) {
-            return ClusterProbed::Hit { hit, locality };
+        if let Some((object, locality)) = self.try_serve(origin, item) {
+            return ClusterProbed::Hit { object, locality };
         }
         let key = item.lid;
         let (owner, cache) = {
@@ -465,8 +450,8 @@ impl ClusterCache {
         match probed {
             // `Hit` means a concurrent completion raced in between
             // try_serve and the claim: account both like a primary hit.
-            Probed::Hit(hit) | Probed::Coalesced(hit) => {
-                let bytes = object_bytes(&hit.object);
+            Probed::Hit(object) | Probed::Coalesced(object) => {
+                let bytes = object_bytes(&object);
                 let locality = if owner == origin {
                     ClusterStats::inc(&self.stats.local_hits);
                     Locality::Local(owner)
@@ -476,7 +461,7 @@ impl ClusterCache {
                     self.pay(self.cfg.net.transfer_ticks(bytes));
                     Locality::Remote(owner)
                 };
-                ClusterProbed::Hit { hit, locality }
+                ClusterProbed::Hit { object, locality }
             }
             Probed::Compute(guard) => {
                 ClusterStats::inc(&self.stats.computes);
@@ -555,7 +540,7 @@ impl ClusterCache {
             ClusterStats::add(&self.stats.transfer_bytes, size_hint as u64);
             self.pay(self.cfg.net.transfer_ticks(size_hint));
         }
-        cache.complete(guard, object, cost, size_hint, 1)
+        cache.complete(guard, object, Admit::new(cost, size_hint))
     }
 
     /// Models an upstream write to `item`: the primary and every
@@ -773,9 +758,7 @@ impl ClusterCache {
                     if dst_cache.put(
                         &resolve(p.key),
                         entry.object.clone(),
-                        entry.cost,
-                        entry.size,
-                        1,
+                        Admit::new(entry.cost, entry.size),
                     ) {
                         src_cache.remove(p.key);
                         m.directory.insert(p.key, dst);
@@ -804,9 +787,7 @@ impl ClusterCache {
                     if dst_cache.put(
                         &resolve(p.key),
                         entry.object.clone(),
-                        entry.cost,
-                        entry.size,
-                        1,
+                        Admit::new(entry.cost, entry.size),
                     ) {
                         m.directory.insert(p.key, dst);
                         ClusterStats::add(&self.stats.transfer_bytes, entry.size as u64);
@@ -917,9 +898,7 @@ impl ClusterCache {
                 if c.put(
                     &resolve(key),
                     entry.object.clone(),
-                    entry.cost,
-                    entry.size,
-                    1,
+                    Admit::new(entry.cost, entry.size),
                 ) {
                     ClusterStats::inc(&self.stats.replicas_placed);
                     ClusterStats::add(&self.stats.transfer_bytes, entry.size as u64);

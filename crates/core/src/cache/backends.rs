@@ -391,7 +391,7 @@ impl CacheBackend for LocalBackend {
 // ----------------------------------------------------------------------
 
 /// Driver-local disk tier over the crash-safe
-/// [`SegmentStore`](crate::cache::durable::SegmentStore): spilled
+/// [`SegmentStore`]: spilled
 /// matrices become CRC-checksummed records keyed by lineage
 /// `content_hash` (with their serialized lineage embedded for
 /// re-interning), committed through an append-only manifest, read back

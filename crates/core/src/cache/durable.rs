@@ -418,7 +418,7 @@ impl SegmentStore {
 
         // Sweep orphans: segments never referenced by the committed
         // manifest are unacknowledged garbage (crash leftovers, aborted
-        // compactions).
+        // compaction runs).
         let mut max_segment = 0u64;
         if let Ok(entries) = fs::read_dir(dir) {
             for entry in entries.flatten() {

@@ -52,6 +52,17 @@ impl CachedObject {
             CachedObject::Disk(_) => BackendId::Disk,
         }
     }
+
+    /// Content fingerprint of a served object: the matrix fingerprint,
+    /// the scalar's bits, and 0 for handles (RDD, GPU, disk) whose
+    /// content is not on the driver.
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            CachedObject::Matrix(m) => m.fingerprint(),
+            CachedObject::Scalar(s) => s.to_bits(),
+            _ => 0,
+        }
+    }
 }
 
 /// Admission status of an entry (delayed caching, paper §5.2).
@@ -73,7 +84,7 @@ pub enum EntryStatus {
 #[derive(Debug)]
 pub struct CacheEntry {
     /// Interned lineage identity of the cached intermediate (the
-    /// canonical trace is recoverable via [`crate::lineage::resolve`]).
+    /// lineage node is recoverable via [`crate::lineage::resolve`]).
     pub key: LineageId,
     /// The cached object; `None` while the entry is a placeholder.
     pub object: Option<CachedObject>,

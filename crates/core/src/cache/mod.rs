@@ -21,6 +21,13 @@
 //!   (Live/Free lists, recycling, eq. (2) scoring, eviction injection,
 //!   device-to-host eviction) ([`backends::GpuTier`]).
 //!
+//! Cache traffic has four entry points. [`LineageCache::probe_or_begin`]
+//! and [`LineageCache::complete`] are the pair every computing caller
+//! uses; [`LineageCache::probe`] reads without claiming a computation,
+//! and [`LineageCache::put`] admits without probing. An [`Admit`] says
+//! how `complete` and `put` store an object: cost, size, delayed caching,
+//! pinning, the charged tenant and the tier.
+//!
 //! The probe map is sharded ([`sharded::ShardedEntryMap`]) so concurrent
 //! sessions probing disjoint lineage ids never contend, and each shard
 //! carries in-flight computation markers ([`sharded::Inflight`]): a
@@ -55,24 +62,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// A successful probe: the reusable object plus the canonical lineage item
-/// for LineageMap compaction.
-#[derive(Debug, Clone)]
-pub struct ProbeHit {
-    /// The cached object (cloned handle).
-    pub object: CachedObject,
-    /// The canonical key stored in the cache (share this in the
-    /// LineageMap to increase sub-DAG sharing).
-    pub canonical: LItem,
-}
-
 /// Outcome of [`LineageCache::probe_or_begin`].
 pub enum Probed {
-    /// The object was already cached.
-    Hit(ProbeHit),
+    /// The object was already cached (cloned handle).
+    Hit(CachedObject),
     /// Another session was computing the same lineage item; this probe
     /// blocked on its in-flight marker and consumed that result.
-    Coalesced(ProbeHit),
+    Coalesced(CachedObject),
     /// Nothing cached and nothing in flight: this session owns the
     /// computation. Execute the instruction, then pass the guard to
     /// [`LineageCache::complete`] (dropping it abandons the flight and
@@ -89,7 +85,6 @@ pub struct ComputeGuard {
     flight: Arc<Inflight>,
     stats: Arc<ReuseStats>,
     armed: bool,
-    tenant: Option<u16>,
 }
 
 impl ComputeGuard {
@@ -101,12 +96,6 @@ impl ComputeGuard {
     /// The interned identity this guard owns the computation of.
     pub fn key(&self) -> LineageId {
         self.item.lid
-    }
-
-    /// The tenant the completed entry will be charged to (set by
-    /// [`LineageCache::probe_or_begin_as`]).
-    pub fn tenant(&self) -> Option<u16> {
-        self.tenant
     }
 
     /// Takes the item and flight out, defusing the drop-abandon.
@@ -128,6 +117,49 @@ impl Drop for ComputeGuard {
             } else {
                 ReuseStats::inc(&self.stats.wakeup_skips);
             }
+        }
+    }
+}
+
+/// How [`LineageCache::complete`] and [`LineageCache::put`] admit an
+/// object. [`Admit::new`] covers the common case; set the other fields
+/// with struct-update syntax:
+/// `Admit { pin: true, ..Admit::new(cost, size) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct Admit {
+    /// Analytical compute cost `c(o)`.
+    pub cost: f64,
+    /// Estimated worst-case size `s(o)` in bytes (used for RDDs before
+    /// materialization).
+    pub size: usize,
+    /// Delayed-caching factor n: the object is stored on the n-th offer
+    /// of its lineage (1 = at once).
+    pub delay: u32,
+    /// Pin the entry atomically at admission: it is never an eviction
+    /// victim until [`LineageCache::unpin`]. Pinning after a plain put
+    /// would race with eviction; this cannot. A pinned admission is
+    /// never deferred, whatever `delay` says.
+    pub pin: bool,
+    /// Serving tenant charged for the entry's bytes against its soft
+    /// quota (see [`LineageCache::set_tenant_quota`]).
+    pub tenant: Option<u16>,
+    /// The tier to admit on; `None` routes to the tier owning the
+    /// object's representation. External tiers receive objects in
+    /// whatever representation they accept.
+    pub tier: Option<BackendId>,
+}
+
+impl Admit {
+    /// Admission at `cost` and `size`: delay 1, unpinned, no tenant, on
+    /// the tier of the object's representation.
+    pub fn new(cost: f64, size: usize) -> Self {
+        Self {
+            cost,
+            size,
+            delay: 1,
+            pin: false,
+            tenant: None,
+            tier: None,
         }
     }
 }
@@ -586,9 +618,9 @@ impl LineageCache {
     /// accounted (plain miss, or the start of an in-flight computation).
     ///
     /// The hit path is allocation-free: the key is a `Copy` interned id,
-    /// the shard lookup hashes one `u64`, and the canonical item is an
-    /// `Arc` clone out of the intern table (refcount bump only).
-    fn probe_once(&self, key: LineageId) -> Option<ProbeHit> {
+    /// the shard lookup hashes one `u64`, and the object is a cloned
+    /// handle (refcount bump only).
+    fn probe_once(&self, key: LineageId) -> Option<CachedObject> {
         let clock = self.map.tick();
         let (is_function, backend_id) = {
             let mut shard = self.map.lock_of(key);
@@ -613,10 +645,7 @@ impl LineageCache {
                 if is_function {
                     ReuseStats::inc(&self.stats.hits_func);
                 }
-                Some(ProbeHit {
-                    object,
-                    canonical: lineage::resolve(key),
-                })
+                Some(object)
             }
             Materialized::Stale => {
                 if let Some(e) = self.map.remove_entry(key) {
@@ -629,11 +658,13 @@ impl LineageCache {
         }
     }
 
-    /// REUSE: probes the cache for the output identified by `item`.
-    /// Returns the cached object (with backend-specific acquisition) or
-    /// `None`, in which case the caller must execute the instruction and
-    /// `PUT` its result.
-    pub fn probe(&self, item: &LItem) -> Option<ProbeHit> {
+    /// REUSE without claiming the computation: probes the cache for the
+    /// output identified by `item`. Returns the cached object (with
+    /// backend-specific acquisition) or `None`, in which case the caller
+    /// executes the instruction and may [`put`](Self::put) its result.
+    /// Callers that compute on a miss use
+    /// [`probe_or_begin`](Self::probe_or_begin) instead.
+    pub fn probe(&self, item: &LItem) -> Option<CachedObject> {
         let _probe_span = memphis_obs::span(memphis_obs::cat::CACHE, "probe");
         ReuseStats::inc(&self.stats.probes);
         let hit = self.probe_once(item.lid);
@@ -653,20 +684,12 @@ impl LineageCache {
     /// [`complete`](Self::complete) (or drop it to abandon, waking
     /// waiters to retry). Never hold a shard lock while calling this.
     pub fn probe_or_begin(&self, item: &LItem) -> Probed {
-        self.probe_or_begin_as(item, None)
-    }
-
-    /// [`probe_or_begin`](Self::probe_or_begin) on behalf of a serving
-    /// tenant: an entry completed through the returned guard is charged
-    /// to `tenant`'s soft cache quota (see
-    /// [`set_tenant_quota`](Self::set_tenant_quota)).
-    pub fn probe_or_begin_as(&self, item: &LItem, tenant: Option<u16>) -> Probed {
         let _probe_span = memphis_obs::span(memphis_obs::cat::CACHE, "probe");
         ReuseStats::inc(&self.stats.probes);
         let key = item.lid;
         loop {
-            if let Some(hit) = self.probe_once(key) {
-                return Probed::Hit(hit);
+            if let Some(object) = self.probe_once(key) {
+                return Probed::Hit(object);
             }
             // Miss: wait on a pending flight, or claim ownership.
             enum Step {
@@ -715,7 +738,6 @@ impl LineageCache {
                         flight,
                         stats: self.stats.clone(),
                         armed: true,
-                        tenant,
                     });
                 }
                 Step::Wait(flight) => {
@@ -726,7 +748,7 @@ impl LineageCache {
                         flight.wait()
                     };
                     match outcome {
-                        InflightOutcome::Done { object, canonical } => {
+                        InflightOutcome::Done(object) => {
                             // GPU pointers must be re-acquired per
                             // consumer; a failure means the pointer was
                             // recycled before we woke — retry the probe.
@@ -744,7 +766,7 @@ impl LineageCache {
                             });
                             ReuseStats::inc(&self.stats.hits);
                             ReuseStats::inc(&self.stats.coalesced_hits);
-                            return Probed::Coalesced(ProbeHit { object, canonical });
+                            return Probed::Coalesced(object);
                         }
                         InflightOutcome::Abandoned => continue,
                     }
@@ -757,57 +779,11 @@ impl LineageCache {
     /// cache (like [`put`](Self::put)) and hands the object to every
     /// session blocked on the flight. Returns true if the cache stored
     /// the object (waiters receive it either way).
-    pub fn complete(
-        &self,
-        guard: ComputeGuard,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-    ) -> bool {
-        self.complete_inner(guard, object, cost, size_hint, delay, false)
-    }
-
-    /// Like [`complete`](Self::complete), but the admitted entry is
-    /// pinned atomically — it can never be selected as an eviction
-    /// victim until [`unpin`](Self::unpin). Pinning after a plain put
-    /// would race with eviction; this cannot. Pinned completion ignores
-    /// delayed caching (the caller wants the entry resident).
-    pub fn complete_pinned(
-        &self,
-        guard: ComputeGuard,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-    ) -> bool {
-        self.complete_inner(guard, object, cost, size_hint, 1, true)
-    }
-
-    fn complete_inner(
-        &self,
-        guard: ComputeGuard,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-        pin: bool,
-    ) -> bool {
-        let backend = object.backend();
-        let tenant = guard.tenant;
+    pub fn complete(&self, guard: ComputeGuard, object: CachedObject, admit: Admit) -> bool {
         let (item, flight) = guard.disarm();
         let key = item.lid;
-        let stored = self.put_inner(
-            &item,
-            object.clone(),
-            cost,
-            size_hint,
-            delay,
-            backend,
-            pin,
-            tenant,
-        );
-        // Remove our marker (if still ours) under the shard lock; the
-        // canonical item comes from the intern table (no lock needed).
+        let stored = self.put(&item, object.clone(), admit);
+        // Remove our marker (if still ours) under the shard lock.
         let removed = {
             let mut shard = self.map.lock_of(key);
             if shard
@@ -821,8 +797,7 @@ impl LineageCache {
                 None
             }
         };
-        let canonical = lineage::resolve(key);
-        let woken = flight.resolve(InflightOutcome::Done { object, canonical });
+        let woken = flight.resolve(InflightOutcome::Done(object));
         if woken > 0 {
             ReuseStats::inc(&self.stats.wakeup_batches);
             // The waiters this miss kept stacked are the entry's
@@ -920,85 +895,14 @@ impl LineageCache {
     // ------------------------------------------------------------------
 
     /// PUT: offers the result of an executed instruction to the cache,
-    /// routed to the tier owning the object's representation.
-    ///
-    /// `cost` is the analytical compute cost, `size_hint` the estimated
-    /// worst-case size (used for RDDs before materialization), and `delay`
-    /// the delayed-caching factor n (1 = cache immediately). Returns true
-    /// if the object was stored (vs. deferred).
-    pub fn put(
-        &self,
-        item: &LItem,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-    ) -> bool {
-        let backend = object.backend();
-        self.put_on(item, object, cost, size_hint, delay, backend)
-    }
-
-    /// PUT onto an explicit tier (external backends receive objects in
-    /// whatever representation they accept).
-    pub fn put_on(
-        &self,
-        item: &LItem,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-        backend: BackendId,
-    ) -> bool {
-        self.put_inner(item, object, cost, size_hint, delay, backend, false, None)
-    }
-
-    /// PUT on behalf of a serving tenant: like [`put`](Self::put), but
-    /// the stored entry is charged to `tenant`'s soft cache quota.
-    pub fn put_as(
-        &self,
-        item: &LItem,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-        tenant: Option<u16>,
-    ) -> bool {
-        let backend = object.backend();
-        self.put_inner(item, object, cost, size_hint, delay, backend, false, tenant)
-    }
-
-    /// Configures a tenant's soft cache quota (bytes of driver-local
-    /// cache). Over-quota tenants' entries become preferred eq. (1)
-    /// eviction victims (counted as `quota_evictions`). No-op without a
-    /// local tier.
-    pub fn set_tenant_quota(&self, tenant: u16, bytes: usize) {
-        if let Some(local) = self.registry.downcast::<LocalBackend>(BackendId::Local) {
-            local.set_quota(tenant, bytes);
-        }
-    }
-
-    /// Driver-local cache bytes currently charged to `tenant`.
-    pub fn tenant_local_used(&self, tenant: u16) -> usize {
-        self.registry
-            .downcast::<LocalBackend>(BackendId::Local)
-            .map(|local| local.tenant_used(tenant))
-            .unwrap_or(0)
-    }
-
-    /// The shared PUT path: decides under the key's shard lock whether
-    /// to skip, defer, or store, then admits with no shard lock held.
-    #[allow(clippy::too_many_arguments)]
-    fn put_inner(
-        &self,
-        item: &LItem,
-        object: CachedObject,
-        cost: f64,
-        size_hint: usize,
-        delay: u32,
-        backend: BackendId,
-        pin: bool,
-        tenant: Option<u16>,
-    ) -> bool {
+    /// routed to the tier `admit` names (by default the one owning the
+    /// object's representation), without probing or claiming the
+    /// computation. Decides under the key's shard lock whether to skip,
+    /// defer, or store, then admits with no shard lock held. Returns true
+    /// if the object was stored (vs. deferred, rejected, or already
+    /// cached).
+    pub fn put(&self, item: &LItem, object: CachedObject, admit: Admit) -> bool {
+        let backend = admit.tier.unwrap_or_else(|| object.backend());
         let _put_span = memphis_obs::span_with(memphis_obs::cat::CACHE, "put", || {
             backend.as_str().to_string()
         });
@@ -1028,7 +932,7 @@ impl LineageCache {
                         EntryStatus::ToBeCached { seen, needed } => (seen + 1, needed),
                         EntryStatus::Cached => unreachable!("cached entries have objects"),
                     };
-                    if seen >= needed {
+                    if seen >= needed || admit.pin {
                         // Carry the placeholder's reuse statistics into
                         // the admitted entry so eq. (1) scoring does not
                         // restart from zero for proven repeaters.
@@ -1042,13 +946,14 @@ impl LineageCache {
                     }
                 }
                 None => {
-                    if delay <= 1 {
+                    if admit.delay <= 1 || admit.pin {
                         Plan::Store { carry: None }
                     } else {
-                        let mut ph = CacheEntry::placeholder(item, cost, size_hint, delay);
+                        let mut ph =
+                            CacheEntry::placeholder(item, admit.cost, admit.size, admit.delay);
                         ph.backend = backend;
                         ph.last_access = clock;
-                        ph.tenant = tenant;
+                        ph.tenant = admit.tenant;
                         shard.entries.insert(key, ph);
                         Plan::Deferred
                     }
@@ -1070,7 +975,7 @@ impl LineageCache {
                     && self.memory_pressure() >= MemoryPressure::Shed
                 {
                     if let Some(ttna) = self.map.ghost_ttna(key) {
-                        if ttna > self.expected_lifetime_ticks(size_hint) {
+                        if ttna > self.expected_lifetime_ticks(admit.size) {
                             ReuseStats::inc(&self.stats.ttna_admission_rejects);
                             let mut shard = self.map.lock_of(key);
                             if shard
@@ -1085,9 +990,7 @@ impl LineageCache {
                         }
                     }
                 }
-                let admitted =
-                    self.admit(item, object, cost, size_hint, backend, clock, pin, tenant);
-                match admitted {
+                match self.admit(item, object, admit, backend, clock) {
                     Admitted::Stored => {
                         if let Some((hits, misses, jobs)) = carry {
                             self.map.with_entry(key, |e| {
@@ -1123,34 +1026,48 @@ impl LineageCache {
         }
     }
 
+    /// Configures a tenant's soft cache quota (bytes of driver-local
+    /// cache). Over-quota tenants' entries become preferred eq. (1)
+    /// eviction victims (counted as `quota_evictions`). No-op without a
+    /// local tier.
+    pub fn set_tenant_quota(&self, tenant: u16, bytes: usize) {
+        if let Some(local) = self.registry.downcast::<LocalBackend>(BackendId::Local) {
+            local.set_quota(tenant, bytes);
+        }
+    }
+
+    /// Driver-local cache bytes currently charged to `tenant`.
+    pub fn tenant_local_used(&self, tenant: u16) -> usize {
+        self.registry
+            .downcast::<LocalBackend>(BackendId::Local)
+            .map(|local| local.tenant_used(tenant))
+            .unwrap_or(0)
+    }
+
     /// Stores an object through its tier's admission (MAKE_SPACE +
     /// accounting + side effects), then inserts the entry under the shard
     /// lock. If a racing session inserted the same lineage item
     /// meanwhile, the tier accounting is backed out via `release`.
-    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
         item: &LItem,
         object: CachedObject,
-        cost: f64,
-        size_hint: usize,
+        how: Admit,
         backend: BackendId,
         clock: u64,
-        pin: bool,
-        tenant: Option<u16>,
     ) -> Admitted {
         let Some(b) = self.registry.get(backend) else {
             return Admitted::Rejected;
         };
         let key = item.lid;
-        let mut e = CacheEntry::cached(item, object, cost, size_hint);
+        let mut e = CacheEntry::cached(item, object, how.cost, how.size);
         e.backend = backend;
         e.last_access = clock;
         // Admission is an access: seeding the probe tick lets the first
         // post-admission hit already yield a TTNA gap sample.
         e.last_probe_tick = clock;
-        e.pinned = pin;
-        e.tenant = tenant;
+        e.pinned = how.pin;
+        e.tenant = how.tenant;
         // Tier admission (MAKE_SPACE, persist, accounting) runs with no
         // shard lock held — it may evict across shards.
         if !b.put(&self.map, &self.registry, key, &mut e) {
@@ -1309,15 +1226,22 @@ mod tests {
         CachedObject::Matrix(StdArc::new(m.clone()))
     }
 
+    /// An admission charged to `tenant`.
+    fn charged(tenant: u16, cost: f64, size: usize) -> Admit {
+        Admit {
+            tenant: Some(tenant),
+            ..Admit::new(cost, size)
+        }
+    }
+
     #[test]
     fn put_probe_roundtrip_local() {
         let c = cache_kb(64);
         let it = item("a");
         assert!(c.probe(&it).is_none());
         let m = rand_uniform(8, 8, 0.0, 1.0, 1);
-        c.put(&it, mat(&m), 10.0, m.size_bytes(), 1);
-        let hit = c.probe(&it).expect("hit");
-        match hit.object {
+        c.put(&it, mat(&m), Admit::new(10.0, m.size_bytes()));
+        match c.probe(&it).expect("hit") {
             CachedObject::Matrix(got) => assert!(got.approx_eq(&m, 0.0)),
             other => panic!("unexpected {other:?}"),
         }
@@ -1336,12 +1260,9 @@ mod tests {
         c.put(
             &it,
             CachedObject::Matrix(m.clone()),
-            10.0,
-            m.size_bytes(),
-            1,
+            Admit::new(10.0, m.size_bytes()),
         );
-        let hit = c.probe(&it).expect("hit");
-        match hit.object {
+        match c.probe(&it).expect("hit") {
             CachedObject::Matrix(got) => {
                 assert!(StdArc::ptr_eq(&got, &m), "hit shares the cached Arc")
             }
@@ -1354,24 +1275,24 @@ mod tests {
         let c = cache_kb(64);
         let a = item("same");
         let b = item("same");
-        assert!(!StdArc::ptr_eq(&a, &b));
-        c.put(&a, CachedObject::Scalar(5.0), 1.0, 16, 1);
+        c.put(&a, CachedObject::Scalar(5.0), Admit::new(1.0, 16));
         let hit = c.probe(&b).expect("structural match");
-        assert!(
-            StdArc::ptr_eq(&hit.canonical, &a),
-            "canonical is first trace"
-        );
+        assert!(matches!(hit, CachedObject::Scalar(v) if v == 5.0));
     }
 
     #[test]
     fn delayed_caching_stores_on_nth_execution() {
         let c = cache_kb(64);
         let it = item("delayed");
+        let delayed = Admit {
+            delay: 2,
+            ..Admit::new(1.0, 16)
+        };
         // Execution 1: put defers.
-        assert!(!c.put(&it, CachedObject::Scalar(1.0), 1.0, 16, 2));
+        assert!(!c.put(&it, CachedObject::Scalar(1.0), delayed));
         assert!(c.probe(&it).is_none(), "placeholder is not reusable");
         // Execution 2: put stores.
-        assert!(c.put(&it, CachedObject::Scalar(1.0), 1.0, 16, 2));
+        assert!(c.put(&it, CachedObject::Scalar(1.0), delayed));
         assert!(c.probe(&it).is_some());
         let s = c.stats();
         assert_eq!(s.puts_deferred, 1);
@@ -1382,9 +1303,13 @@ mod tests {
     fn delay_three_takes_three_puts() {
         let c = cache_kb(64);
         let it = item("d3");
-        assert!(!c.put(&it, CachedObject::Scalar(1.0), 1.0, 16, 3));
-        assert!(!c.put(&it, CachedObject::Scalar(1.0), 1.0, 16, 3));
-        assert!(c.put(&it, CachedObject::Scalar(1.0), 1.0, 16, 3));
+        let delayed = Admit {
+            delay: 3,
+            ..Admit::new(1.0, 16)
+        };
+        assert!(!c.put(&it, CachedObject::Scalar(1.0), delayed));
+        assert!(!c.put(&it, CachedObject::Scalar(1.0), delayed));
+        assert!(c.put(&it, CachedObject::Scalar(1.0), delayed));
         assert!(c.probe(&it).is_some());
     }
 
@@ -1396,22 +1321,21 @@ mod tests {
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
         let i1 = item("m1");
         let i2 = item("m2");
-        c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+        c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
         c.probe(&i1).expect("hit"); // proven reusable → spill, not drop
-        c.put(&i2, mat(&m2), 100.0, m2.size_bytes(), 1);
+        c.put(&i2, mat(&m2), Admit::new(100.0, m2.size_bytes()));
         assert_eq!(c.stats().local_spills, 1, "cheaper m1 spilled");
         // m1 still reusable from disk.
-        let hit = c.probe(&i1).expect("disk hit");
-        match hit.object {
+        match c.probe(&i1).expect("disk hit") {
             CachedObject::Matrix(got) => assert!(got.approx_eq(&m1, 0.0)),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(c.stats().hits_disk, 1);
         // Unproven entries drop instead of spilling.
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        c.put(&item("m3"), mat(&m3), 1.0, m3.size_bytes(), 1);
+        c.put(&item("m3"), mat(&m3), Admit::new(1.0, m3.size_bytes()));
         let m4 = rand_uniform(32, 32, 0.0, 1.0, 4);
-        c.put(&item("m4"), mat(&m4), 200.0, m3.size_bytes(), 1);
+        c.put(&item("m4"), mat(&m4), Admit::new(200.0, m3.size_bytes()));
         assert!(c.stats().local_drops >= 1, "never-hit victim dropped");
     }
 
@@ -1421,9 +1345,9 @@ mod tests {
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1); // 8 KB
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
         let i1 = item("m1");
-        c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+        c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
         c.probe(&i1).expect("hit");
-        c.put(&item("m2"), mat(&m2), 100.0, m2.size_bytes(), 1);
+        c.put(&item("m2"), mat(&m2), Admit::new(100.0, m2.size_bytes()));
         let disk_used = c.registry().get(BackendId::Disk).unwrap().used();
         assert_eq!(disk_used, m1.size_bytes(), "spill accounted to disk tier");
         // Promote-on-hit moves the bytes back to the local tier.
@@ -1441,9 +1365,9 @@ mod tests {
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1); // 8 KB
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
         let i1 = item("m1");
-        c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+        c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
         c.probe(&i1).expect("hit");
-        c.put(&item("m2"), mat(&m2), 100.0, m2.size_bytes(), 1);
+        c.put(&item("m2"), mat(&m2), Admit::new(100.0, m2.size_bytes()));
         assert_eq!(c.stats().local_spills, 1);
         c.probe(&i1).expect("disk hit promotes");
 
@@ -1460,7 +1384,7 @@ mod tests {
         let c = cache_kb(1);
         let m = rand_uniform(64, 64, 0.0, 1.0, 3); // 32 KB > 1 KB budget
         let it = item("big");
-        c.put(&it, mat(&m), 1.0, m.size_bytes(), 1);
+        c.put(&it, mat(&m), Admit::new(1.0, m.size_bytes()));
         assert!(c.probe(&it).is_none());
         assert_eq!(c.local_used(), 0);
     }
@@ -1472,9 +1396,7 @@ mod tests {
             c.put(
                 &item(&format!("s{i}")),
                 CachedObject::Scalar(i as f64),
-                1.0,
-                16,
-                1,
+                Admit::new(1.0, 16),
             );
         }
         assert_eq!(c.len(), 100);
@@ -1501,19 +1423,17 @@ mod tests {
                 rows: 16,
                 cols: 4,
             },
-            50.0,
-            m.size_bytes(),
-            1,
+            Admit::new(50.0, m.size_bytes()),
         );
         assert!(mapped.persist_level().is_some(), "admission persists");
         // Unmaterialized reuse works (compute sharing).
         for _ in 0..2 {
             let hit = c.probe(&it).expect("rdd hit");
-            assert!(matches!(hit.object, CachedObject::Rdd { .. }));
+            assert!(matches!(hit, CachedObject::Rdd { .. }));
         }
         // Third unmaterialized reuse triggers the count() materialization.
         let hit = c.probe(&it).expect("rdd hit");
-        assert!(matches!(hit.object, CachedObject::Rdd { .. }));
+        assert!(matches!(hit, CachedObject::Rdd { .. }));
         let s = c.stats();
         assert_eq!(s.rdd_materialize_jobs, 1);
         assert!(sc.is_fully_cached(&mapped), "sync materialization ran");
@@ -1545,9 +1465,7 @@ mod tests {
                 rows: 16,
                 cols: 4,
             },
-            1.0,
-            budget,
-            1,
+            Admit::new(1.0, budget),
         );
         assert_eq!(c.rdd_est_bytes(), budget);
         c.put(
@@ -1557,9 +1475,7 @@ mod tests {
                 rows: 16,
                 cols: 4,
             },
-            100.0,
-            budget / 2,
-            1,
+            Admit::new(100.0, budget / 2),
         );
         let s = c.stats();
         assert_eq!(s.rdd_unpersists, 1);
@@ -1599,9 +1515,7 @@ mod tests {
                 rows: 16,
                 cols: 4,
             },
-            10.0,
-            m.size_bytes(),
-            1,
+            Admit::new(10.0, m.size_bytes()),
         );
         sc.count(&mapped); // materialize
         assert!(!bc.is_destroyed());
@@ -1626,16 +1540,14 @@ mod tests {
                 rows: 1,
                 cols: 128,
             },
-            5.0,
-            1024,
-            1,
+            Admit::new(5.0, 1024),
         );
         // Variable releases its reference; pointer goes to the free list
         // but stays reusable.
         c.gpu_release(alloc.ptr, 2, 5.0);
         assert_eq!(g.free_pointers(), 1);
         let hit = c.probe(&it).expect("gpu hit");
-        assert!(matches!(hit.object, CachedObject::Gpu { ptr: p, .. } if p == alloc.ptr));
+        assert!(matches!(hit, CachedObject::Gpu { ptr: p, .. } if p == alloc.ptr));
         assert_eq!(g.live_pointers(), 1, "probe re-acquired the pointer");
         assert_eq!(c.stats().hits_gpu, 1);
     }
@@ -1655,9 +1567,7 @@ mod tests {
                 rows: 1,
                 cols: 128,
             },
-            1.0,
-            512,
-            1,
+            Admit::new(1.0, 512),
         );
         c.gpu_release(alloc.ptr, 2, 1.0);
         // Same-size request recycles the pointer, killing the entry.
@@ -1682,17 +1592,14 @@ mod tests {
                 rows: 1,
                 cols: 64,
             },
-            9.0,
-            1536,
-            1,
+            Admit::new(9.0, 1536),
         );
         c.gpu_release(a.ptr, 2, 9.0);
         // A different-size request that cannot fit alongside it.
         let b = c.gpu_request(1024, 2, 1.0).unwrap();
         assert!(!b.recycled);
         // The cached result moved to the host and is still reusable.
-        let hit = c.probe(&it).expect("still reusable");
-        match hit.object {
+        match c.probe(&it).expect("still reusable") {
             CachedObject::Matrix(got) => assert!(got.approx_eq(&m, 0.0)),
             other => panic!("expected host matrix, got {other:?}"),
         }
@@ -1720,9 +1627,7 @@ mod tests {
                     rows: 1,
                     cols: 64,
                 },
-                i as f64,
-                256,
-                1,
+                Admit::new(i as f64, 256),
             );
             c.gpu_release(a.ptr, 2, i as f64);
         }
@@ -1748,11 +1653,9 @@ mod tests {
                 rows: 16,
                 cols: 4,
             },
-            1.0,
-            1024,
-            1,
+            Admit::new(1.0, 1024),
         );
-        c.put(&item("m"), mat(&m), 1.0, m.size_bytes(), 1);
+        c.put(&item("m"), mat(&m), Admit::new(1.0, m.size_bytes()));
         assert_eq!(c.len(), 2);
         c.clear();
         assert!(c.is_empty());
@@ -1765,7 +1668,7 @@ mod tests {
     fn function_hits_counted_separately() {
         let c = cache_kb(64);
         let f = LineageItem::new("func:l2svm", vec![], vec![LineageItem::leaf("X")]);
-        c.put(&f, CachedObject::Scalar(0.95), 100.0, 16, 1);
+        c.put(&f, CachedObject::Scalar(0.95), Admit::new(100.0, 16));
         c.probe(&f).expect("hit");
         assert_eq!(c.stats().hits_func, 1);
     }
@@ -1774,7 +1677,7 @@ mod tests {
     fn backend_snapshots_cover_registered_tiers() {
         let (c, _sc) = spark_cache();
         let m = rand_uniform(8, 8, 0.0, 1.0, 9);
-        c.put(&item("m"), mat(&m), 1.0, m.size_bytes(), 1);
+        c.put(&item("m"), mat(&m), Admit::new(1.0, m.size_bytes()));
         let snaps = c.backend_snapshots();
         let ids: Vec<_> = snaps.iter().map(|s| s.id).collect();
         assert!(ids.contains(&BackendId::Local));
@@ -1798,9 +1701,9 @@ mod tests {
             Probed::Compute(g) => g,
             _ => panic!("empty cache must yield ownership"),
         };
-        assert!(c.complete(guard, CachedObject::Scalar(3.0), 1.0, 16, 1));
+        assert!(c.complete(guard, CachedObject::Scalar(3.0), Admit::new(1.0, 16)));
         match c.probe_or_begin(&it) {
-            Probed::Hit(h) => assert!(matches!(h.object, CachedObject::Scalar(v) if v == 3.0)),
+            Probed::Hit(h) => assert!(matches!(h, CachedObject::Scalar(v) if v == 3.0)),
             _ => panic!("completed entry must hit"),
         }
         let s = c.stats();
@@ -1825,7 +1728,7 @@ mod tests {
                 let it = it.clone();
                 std::thread::spawn(move || match c.probe_or_begin(&it) {
                     Probed::Coalesced(h) => {
-                        matches!(h.object, CachedObject::Scalar(v) if v == 42.0)
+                        matches!(h, CachedObject::Scalar(v) if v == 42.0)
                     }
                     Probed::Hit(_) => true, // raced past completion: also fine
                     Probed::Compute(_) => false,
@@ -1836,7 +1739,7 @@ mod tests {
         while c.inflight_waiters(&it) < 3 {
             std::thread::yield_now();
         }
-        c.complete(guard, CachedObject::Scalar(42.0), 1.0, 16, 1);
+        c.complete(guard, CachedObject::Scalar(42.0), Admit::new(1.0, 16));
         for w in waiters {
             assert!(w.join().unwrap(), "waiter saw the owner's result");
         }
@@ -1858,7 +1761,7 @@ mod tests {
         let it2 = it.clone();
         let waiter = std::thread::spawn(move || match c2.probe_or_begin(&it2) {
             Probed::Compute(g) => {
-                c2.complete(g, CachedObject::Scalar(7.0), 1.0, 16, 1);
+                c2.complete(g, CachedObject::Scalar(7.0), Admit::new(1.0, 16));
                 true
             }
             _ => false,
@@ -1875,7 +1778,7 @@ mod tests {
     }
 
     #[test]
-    fn complete_pinned_survives_eviction_pressure() {
+    fn pinned_complete_is_never_deferred_and_survives_eviction() {
         // Budget fits one 8 KB matrix; the pinned one must survive.
         // Spill is off so eviction means gone (not demoted to disk).
         let mut cfg = CacheConfig::test();
@@ -1888,15 +1791,30 @@ mod tests {
             Probed::Compute(g) => g,
             _ => panic!("owner"),
         };
-        assert!(c.complete_pinned(guard, mat(&m), 1.0, m.size_bytes(),));
+        // A pinned admission ignores the delay: stored on the first offer.
+        let pinned = Admit {
+            pin: true,
+            delay: 3,
+            ..Admit::new(1.0, m.size_bytes())
+        };
+        assert!(c.complete(guard, mat(&m), pinned));
+        assert_eq!(c.stats().puts_deferred, 0);
         // An expensive newcomer would evict the cheap entry — but it is
         // pinned, so the newcomer is rejected for space instead.
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
-        c.put(&item("intruder"), mat(&m2), 1e9, m2.size_bytes(), 1);
+        c.put(
+            &item("intruder"),
+            mat(&m2),
+            Admit::new(1e9, m2.size_bytes()),
+        );
         assert!(c.probe(&it).is_some(), "pinned entry survived");
         assert!(c.unpin(&it));
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        c.put(&item("intruder2"), mat(&m3), 1e9, m3.size_bytes(), 1);
+        c.put(
+            &item("intruder2"),
+            mat(&m3),
+            Admit::new(1e9, m3.size_bytes()),
+        );
         assert!(c.probe(&it).is_none(), "unpinned entry evictable again");
     }
 
@@ -1912,9 +1830,9 @@ mod tests {
             _ => panic!("owner"),
         };
         // Racing plain put lands first.
-        assert!(c.put(&it, mat(&m), 1.0, m.size_bytes(), 1));
+        assert!(c.put(&it, mat(&m), Admit::new(1.0, m.size_bytes())));
         // Owner's completion sees the entry and does not double-account.
-        assert!(!c.complete(guard, mat(&m), 1.0, m.size_bytes(), 1));
+        assert!(!c.complete(guard, mat(&m), Admit::new(1.0, m.size_bytes())));
         assert_eq!(c.local_used(), m.size_bytes(), "no double accounting");
         assert_eq!(c.len(), 1);
     }
@@ -1927,7 +1845,7 @@ mod tests {
     fn tenant_bytes_are_accounted_and_released() {
         let c = cache_kb(64);
         let m = rand_uniform(8, 8, 0.0, 1.0, 1);
-        assert!(c.put_as(&item("t0"), mat(&m), 1.0, m.size_bytes(), 1, Some(7)));
+        assert!(c.put(&item("t0"), mat(&m), charged(7, 1.0, m.size_bytes())));
         assert_eq!(c.tenant_local_used(7), m.size_bytes());
         assert_eq!(c.tenant_local_used(8), 0);
         c.clear();
@@ -1939,13 +1857,13 @@ mod tests {
         let c = cache_kb(64);
         let it = item("guarded");
         let m = rand_uniform(8, 8, 0.0, 1.0, 2);
-        let guard = match c.probe_or_begin_as(&it, Some(3)) {
+        let guard = match c.probe_or_begin(&it) {
             Probed::Compute(g) => g,
             _ => panic!("owner"),
         };
-        assert_eq!(guard.tenant(), Some(3));
-        assert!(c.complete(guard, mat(&m), 1.0, m.size_bytes(), 1));
+        assert!(c.complete(guard, mat(&m), charged(3, 1.0, m.size_bytes())));
         assert_eq!(c.tenant_local_used(3), m.size_bytes());
+        assert_eq!(c.tenant_local_used(4), 0);
     }
 
     #[test]
@@ -1960,10 +1878,14 @@ mod tests {
         c.set_tenant_quota(1, 4 << 10);
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1); // 8 KB
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
-        assert!(c.put_as(&item("hog"), mat(&m1), 1e9, m1.size_bytes(), 1, Some(1)));
-        assert!(c.put_as(&item("meek"), mat(&m2), 1.0, m2.size_bytes(), 1, Some(2)));
+        assert!(c.put(&item("hog"), mat(&m1), charged(1, 1e9, m1.size_bytes())));
+        assert!(c.put(&item("meek"), mat(&m2), charged(2, 1.0, m2.size_bytes())));
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        assert!(c.put(&item("newcomer"), mat(&m3), 5.0, m3.size_bytes(), 1));
+        assert!(c.put(
+            &item("newcomer"),
+            mat(&m3),
+            Admit::new(5.0, m3.size_bytes())
+        ));
         assert!(c.probe(&item("hog")).is_none(), "over-quota victim first");
         assert!(c.probe(&item("meek")).is_some(), "in-quota entry survives");
         let s = c.stats();
@@ -1979,10 +1901,10 @@ mod tests {
         let c = LineageCache::new(cfg);
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1);
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
-        assert!(c.put_as(&item("a"), mat(&m1), 1e9, m1.size_bytes(), 1, Some(1)));
-        assert!(c.put_as(&item("b"), mat(&m2), 1.0, m2.size_bytes(), 1, Some(2)));
+        assert!(c.put(&item("a"), mat(&m1), charged(1, 1e9, m1.size_bytes())));
+        assert!(c.put(&item("b"), mat(&m2), charged(2, 1.0, m2.size_bytes())));
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        assert!(c.put(&item("c"), mat(&m3), 5.0, m3.size_bytes(), 1));
+        assert!(c.put(&item("c"), mat(&m3), Admit::new(5.0, m3.size_bytes())));
         assert!(c.probe(&item("a")).is_some(), "high score survives");
         assert!(
             c.probe(&item("b")).is_none(),
@@ -2001,10 +1923,10 @@ mod tests {
         c.set_tenant_quota(1, 1 << 20);
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1);
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
-        assert!(c.put_as(&item("a"), mat(&m1), 1e9, m1.size_bytes(), 1, Some(1)));
-        assert!(c.put_as(&item("b"), mat(&m2), 1.0, m2.size_bytes(), 1, Some(1)));
+        assert!(c.put(&item("a"), mat(&m1), charged(1, 1e9, m1.size_bytes())));
+        assert!(c.put(&item("b"), mat(&m2), charged(1, 1.0, m2.size_bytes())));
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        assert!(c.put(&item("c"), mat(&m3), 5.0, m3.size_bytes(), 1));
+        assert!(c.put(&item("c"), mat(&m3), Admit::new(5.0, m3.size_bytes())));
         assert!(c.probe(&item("a")).is_some());
         assert_eq!(c.stats().quota_evictions, 0);
     }
@@ -2019,12 +1941,12 @@ mod tests {
         c.set_tenant_quota(1, 4 << 10);
         let m1 = rand_uniform(32, 32, 0.0, 1.0, 1);
         let i1 = item("spillme");
-        assert!(c.put_as(&i1, mat(&m1), 1e9, m1.size_bytes(), 1, Some(1)));
+        assert!(c.put(&i1, mat(&m1), charged(1, 1e9, m1.size_bytes())));
         c.probe(&i1).expect("hit"); // proven → spill, not drop
         let m2 = rand_uniform(32, 32, 0.0, 1.0, 2);
-        assert!(c.put(&item("b"), mat(&m2), 1.0, m2.size_bytes(), 1));
+        assert!(c.put(&item("b"), mat(&m2), Admit::new(1.0, m2.size_bytes())));
         let m3 = rand_uniform(32, 32, 0.0, 1.0, 3);
-        assert!(c.put(&item("c"), mat(&m3), 5.0, m3.size_bytes(), 1));
+        assert!(c.put(&item("c"), mat(&m3), Admit::new(5.0, m3.size_bytes())));
         assert_eq!(c.stats().local_spills, 1, "over-quota entry spilled");
         assert_eq!(c.tenant_local_used(1), 0, "spill released local bytes");
         // Disk hit promotes it back (evicting someone to make room) and

@@ -12,7 +12,8 @@
 //! session begins computing a missing entry, it parks an [`Inflight`]
 //! placeholder in the shard; a second session probing the same lineage id
 //! blocks on the placeholder's condvar and receives the first session's
-//! result instead of recomputing (a coalesced hit). Placeholders live
+//! result — the object alone, since structural twins are one lineage
+//! node — instead of recomputing (a coalesced hit). Placeholders live
 //! outside the entry map, so eviction can never select an in-flight
 //! computation as a victim.
 //!
@@ -26,7 +27,7 @@
 
 use crate::backend::{EntryMap, EvictionPolicy};
 use crate::cache::entry::{CacheEntry, CachedObject};
-use crate::lineage::{LItem, LineageId};
+use crate::lineage::LineageId;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,12 +39,7 @@ pub enum InflightOutcome {
     /// The owner completed and offered the object to the cache; waiters
     /// consume the object directly (coalesced hit), whether or not the
     /// cache admitted it.
-    Done {
-        /// The computed object.
-        object: CachedObject,
-        /// Canonical lineage item for LineageMap compaction.
-        canonical: LItem,
-    },
+    Done(CachedObject),
     /// The owner abandoned the computation (error or dropped guard);
     /// waiters retry the probe and one of them becomes the new owner.
     Abandoned,
@@ -317,7 +313,7 @@ impl ShardedEntryMap {
 mod tests {
     use super::*;
     use crate::cache::entry::CacheEntry;
-    use crate::lineage::LineageItem;
+    use crate::lineage::{LItem, LineageItem};
 
     fn leaf(name: &str) -> LItem {
         LineageItem::leaf(name)
@@ -387,13 +383,10 @@ mod tests {
         while f.waiters() == 0 {
             std::thread::yield_now();
         }
-        let woken = f.resolve(InflightOutcome::Done {
-            object: CachedObject::Scalar(7.0),
-            canonical: LineageItem::leaf("x"),
-        });
+        let woken = f.resolve(InflightOutcome::Done(CachedObject::Scalar(7.0)));
         assert_eq!(woken, 1, "one blocked waiter in the batch");
         match t.join().unwrap() {
-            InflightOutcome::Done { object, .. } => {
+            InflightOutcome::Done(object) => {
                 assert!(matches!(object, CachedObject::Scalar(v) if v == 7.0))
             }
             other => panic!("unexpected {other:?}"),
@@ -410,10 +403,7 @@ mod tests {
             "no waiters, no wakeup"
         );
         assert_eq!(
-            f.resolve(InflightOutcome::Done {
-                object: CachedObject::Scalar(1.0),
-                canonical: LineageItem::leaf("x"),
-            }),
+            f.resolve(InflightOutcome::Done(CachedObject::Scalar(1.0))),
             0,
             "second resolution is a no-op"
         );

@@ -34,7 +34,7 @@ pub use cache::config::{CacheConfig, CachePolicy};
 pub use cache::entry::{CacheEntry, CachedObject, EntryStatus};
 pub use cache::gpu::GpuMemoryManager;
 pub use cache::sharded::{Inflight, InflightOutcome, ShardedEntryMap};
-pub use cache::{ComputeGuard, LineageCache, ProbeHit, Probed, ResidentEntry};
+pub use cache::{Admit, ComputeGuard, LineageCache, Probed, ResidentEntry};
 pub use cache::{EntryReuseMeta, MemoryPressure};
 pub use lineage::{resolve, LItem, LineageId, LineageItem, LineageMap};
 pub use pool::{Pool, PoolStats};

@@ -9,36 +9,37 @@
 //!
 //! # Interned identity
 //!
-//! Every structurally-unique DAG is additionally assigned a process-global
-//! [`LineageId`] at construction time by a sharded intern table keyed on
-//! the precomputed FNV hash. The id is a `u32` + the content hash, `Copy`,
-//! and compares as a single integer — it is the key type of the entire
-//! cache (entry map, in-flight markers, eviction scoring, GPU pointer
-//! tags, disk manifest tags), so the steady-state probe→hit path never
-//! walks a DAG and never allocates. Structural twins share the id but keep
-//! their own `Arc` (the first construction is the canonical trace,
-//! retrievable via [`resolve`]); a hash collision between structurally
-//! distinct DAGs aborts the process — with a 64-bit FNV over full DAG
-//! content this is the same abort-on-collision contract the paper's
-//! hash-probing already relied on, now enforced eagerly.
+//! Every structurally-unique DAG is interned at construction time by a
+//! sharded, process-global table keyed on the precomputed FNV hash: the
+//! first construction becomes the canonical node and every later
+//! structural twin *is* that node (the same `Arc`). This is the
+//! compaction of paper §3.3 done once, at construction: equal traces
+//! always share sub-DAGs, so nothing re-shares them after a probe. Each
+//! node carries a [`LineageId`] (a `u32` + the content hash, `Copy`,
+//! compared as a single integer) — the key type of the entire cache
+//! (entry map, in-flight markers, eviction scoring, GPU pointer tags,
+//! disk manifest tags), so the steady-state probe→hit path never walks a
+//! DAG, never allocates and never consults the table. A hash collision
+//! between structurally distinct DAGs aborts the process — with a 64-bit
+//! FNV over full DAG content this is the same abort-on-collision contract
+//! the paper's hash-probing already relied on, now enforced eagerly.
 //!
 //! The intern table deliberately never shrinks: a `LineageId` must stay
-//! resolvable for as long as the process may probe with it. This trades
-//! bounded growth (one canonical `Arc` per unique DAG ever traced) for an
-//! allocation-free, lock-free-on-probe identity — the same trade
-//! SystemDS-style lineage dedup makes.
+//! resolvable ([`resolve`]) for as long as the process may start from
+//! one (disk recovery, cluster migration). This trades bounded growth
+//! (one node per unique DAG ever traced) for an allocation-free,
+//! lock-free-on-probe identity — the same trade SystemDS-style lineage
+//! dedup makes.
 
 use memphis_matrix::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Shared handle to a lineage DAG node.
 pub type LItem = Arc<LineageItem>;
-
-static NEXT_ITEM_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Compact process-global identity of a structurally-unique lineage DAG.
 ///
@@ -87,10 +88,9 @@ impl std::hash::Hash for LineageId {
 /// arguments and input lineage.
 #[derive(Debug)]
 pub struct LineageItem {
-    /// Process-unique id (object identity; not part of equality).
-    pub id: u64,
-    /// Interned structural identity: equal for all structurally-equal
-    /// DAGs, distinct otherwise. The cache's key type.
+    /// Interned structural identity and node identity: structurally
+    /// equal DAGs are one node, so this is equal exactly for them. The
+    /// cache's key type.
     pub lid: LineageId,
     /// Operator code, e.g. `"ba+*"` (matmul), `"tsmm"`, `"rand"`, or
     /// `"func:linRegDS"` for multi-level (function) reuse entries.
@@ -113,10 +113,9 @@ pub struct LineageItem {
 const INTERN_SHARDS: usize = 64;
 
 struct InternTable {
-    /// content hash → (interned id, canonical first trace).
-    shards: [Mutex<HashMap<u64, (u32, LItem)>>; INTERN_SHARDS],
+    /// content hash → canonical node.
+    shards: [Mutex<HashMap<u64, LItem>>; INTERN_SHARDS],
     next: AtomicU32,
-    reused: AtomicU64,
 }
 
 fn intern_table() -> &'static InternTable {
@@ -124,49 +123,31 @@ fn intern_table() -> &'static InternTable {
     TABLE.get_or_init(|| InternTable {
         shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         next: AtomicU32::new(0),
-        reused: AtomicU64::new(0),
     })
 }
 
-/// Global intern-table statistics (informational; reported by the perf
-/// harness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InternStats {
-    /// Structurally-unique DAGs interned so far.
-    pub unique: u64,
-    /// Constructions that reused an existing id (structural twins).
-    pub reused: u64,
-}
-
-/// Snapshot of the process-global intern table counters.
-pub fn intern_stats() -> InternStats {
-    let t = intern_table();
-    InternStats {
-        unique: t.next.load(Ordering::Relaxed) as u64,
-        reused: t.reused.load(Ordering::Relaxed),
-    }
-}
-
-/// Returns the canonical (first-traced) item for an interned id.
+/// Returns the node an interned id identifies, for callers that start
+/// from a bare [`LineageId`] (disk recovery and spill, cluster
+/// migration). Code holding an `LItem` already holds the node.
 ///
-/// Lock + `Arc` clone only — no heap allocation; safe on the probe hot
-/// path. Panics if the id was never minted by interning (impossible for
-/// ids read off a live `LineageItem`).
+/// Lock + `Arc` clone only — no heap allocation. Panics if the id was
+/// never minted by interning (impossible for ids read off a live
+/// `LineageItem`).
 pub fn resolve(id: LineageId) -> LItem {
     let shard = intern_table().shards[(id.hash as usize) & (INTERN_SHARDS - 1)].lock();
     shard
         .get(&id.hash)
-        .map(|(_, canonical)| canonical.clone())
+        .cloned()
         .expect("LineageId resolves: ids are only minted by the intern table")
 }
 
 /// Interns `(opcode, data, inputs)` under the given precomputed hash.
 ///
-/// First construction of a structure becomes the canonical trace and is
-/// returned directly; later structural twins get a **fresh** `Arc`
-/// carrying the same [`LineageId`] (object identity stays distinct, as
-/// the compaction tests require). A hash-equal but structurally-unequal
-/// construction is a silent-corruption hazard and aborts the process.
+/// The first construction of a structure becomes the canonical node;
+/// every later structural twin returns that same `Arc` (its own
+/// opcode, data and inputs are dropped). A hash-equal but
+/// structurally-unequal construction is a silent-corruption hazard and
+/// aborts the process.
 fn intern_node(
     opcode: Arc<str>,
     data: Vec<String>,
@@ -177,8 +158,8 @@ fn intern_node(
     let table = intern_table();
     let mut shard = table.shards[(hash as usize) & (INTERN_SHARDS - 1)].lock();
     match shard.get(&hash) {
-        Some((id, canonical)) => {
-            // Cheap structural verification against the canonical trace:
+        Some(canonical) => {
+            // Cheap structural verification against the canonical node:
             // input ids compare by interned identity, which is
             // inductively structural — O(node), not O(DAG).
             assert!(
@@ -195,21 +176,11 @@ fn intern_node(
                 canonical.opcode,
                 opcode,
             );
-            table.reused.fetch_add(1, Ordering::Relaxed);
-            Arc::new(LineageItem {
-                id: NEXT_ITEM_ID.fetch_add(1, Ordering::Relaxed),
-                lid: LineageId { id: *id, hash },
-                opcode,
-                data,
-                inputs,
-                hash,
-                height,
-            })
+            canonical.clone()
         }
         None => {
             let id = table.next.fetch_add(1, Ordering::Relaxed);
             let item = Arc::new(LineageItem {
-                id: NEXT_ITEM_ID.fetch_add(1, Ordering::Relaxed),
                 lid: LineageId { id, hash },
                 opcode,
                 data,
@@ -217,7 +188,7 @@ fn intern_node(
                 hash,
                 height,
             });
-            shard.insert(hash, (id, item.clone()));
+            shard.insert(hash, item.clone());
             item
         }
     }
@@ -249,7 +220,7 @@ impl LineageItem {
         let mut seen = HashSet::new();
         let mut queue = VecDeque::from([self.clone()]);
         while let Some(item) = queue.pop_front() {
-            if seen.insert(item.id) {
+            if seen.insert(item.lid) {
                 queue.extend(item.inputs.iter().cloned());
             }
         }
@@ -259,16 +230,15 @@ impl LineageItem {
 
 /// The paper's queue-based structural equality with memoization and early
 /// aborts (hash mismatch, height mismatch, shared sub-DAG object
-/// identity). With interning, structurally-equal DAGs share a
-/// [`LineageId`], so the common case is a single integer compare; the
-/// queue-based walk remains as the definition the intern table is
-/// verified against.
+/// identity). With interning, structurally-equal DAGs are one node, so
+/// the common case is a single integer compare; the queue-based walk
+/// remains as the definition the intern table is verified against.
 pub fn lineage_eq(a: &LItem, b: &LItem) -> bool {
     if a.lid == b.lid {
         return true; // interned identity: structural equality by construction
     }
     let mut queue: VecDeque<(LItem, LItem)> = VecDeque::from([(a.clone(), b.clone())]);
-    let mut memo: HashSet<(u64, u64)> = HashSet::new();
+    let mut memo: HashSet<(u32, u32)> = HashSet::new();
     while let Some((x, y)) = queue.pop_front() {
         if Arc::ptr_eq(&x, &y) {
             continue; // shared sub-DAG: object identity short-circuit
@@ -281,7 +251,8 @@ pub fn lineage_eq(a: &LItem, b: &LItem) -> bool {
         {
             return false;
         }
-        if !memo.insert((x.id.min(y.id), x.id.max(y.id))) {
+        let (lo, hi) = (x.lid.raw().min(y.lid.raw()), x.lid.raw().max(y.lid.raw()));
+        if !memo.insert((lo, hi)) {
             continue; // pair already verified on another path
         }
         for (xi, yi) in x.inputs.iter().zip(y.inputs.iter()) {
@@ -292,9 +263,8 @@ pub fn lineage_eq(a: &LItem, b: &LItem) -> bool {
 }
 
 /// Maps live variable names to their lineage DAGs (the `LineageMap` of
-/// paper §3.2), with the compaction optimization of §3.3: on a successful
-/// cache probe the variable's trace is replaced by the cached entry's key,
-/// increasing shared sub-DAGs.
+/// paper §3.2). The compaction of §3.3 needs no pass here: interning
+/// makes every traced twin the canonical node already.
 #[derive(Debug, Default)]
 pub struct LineageMap {
     map: HashMap<String, LItem>,
@@ -356,27 +326,6 @@ impl LineageMap {
         self.map.remove(var)
     }
 
-    /// Compaction (§3.3): after a successful probe of `item` that matched
-    /// the cached `canonical` key, rebinds every variable currently mapped
-    /// to a structurally-equal trace to the canonical item, increasing
-    /// object-identity sharing. Returns how many bindings were compacted.
-    ///
-    /// Structural equality is an interned-id compare, so compaction is
-    /// O(bindings), not O(bindings × DAG).
-    pub fn compact(&mut self, item: &LItem, canonical: &LItem) -> usize {
-        if Arc::ptr_eq(item, canonical) {
-            return 0;
-        }
-        let mut n = 0;
-        for bound in self.map.values_mut() {
-            if !Arc::ptr_eq(bound, canonical) && bound.lid == canonical.lid {
-                *bound = canonical.clone();
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Number of live bindings.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -402,9 +351,9 @@ impl LineageMap {
 /// intermediate strings or joins.
 pub fn serialize(root: &LItem) -> String {
     let mut order: Vec<LItem> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    fn visit(item: &LItem, seen: &mut HashSet<u64>, order: &mut Vec<LItem>) {
-        if !seen.insert(item.id) {
+    let mut seen: HashSet<LineageId> = HashSet::new();
+    fn visit(item: &LItem, seen: &mut HashSet<LineageId>, order: &mut Vec<LItem>) {
+        if !seen.insert(item.lid) {
             return;
         }
         for i in &item.inputs {
@@ -413,7 +362,8 @@ pub fn serialize(root: &LItem) -> String {
         order.push(item.clone());
     }
     visit(root, &mut seen, &mut order);
-    let index: HashMap<u64, usize> = order.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+    let index: HashMap<LineageId, usize> =
+        order.iter().enumerate().map(|(i, n)| (n.lid, i)).collect();
     // Per line: "(i) opcode [d1,d2] (i1,i2)\n" — opcode + data bytes +
     // up to ~8 digits per reference + fixed punctuation. Escapes can
     // lengthen data slightly; the estimate stays within one growth step.
@@ -445,7 +395,7 @@ pub fn serialize(root: &LItem) -> String {
             if j > 0 {
                 out.push(',');
             }
-            write!(out, "{}", index[&input.id]).expect("write to string");
+            write!(out, "{}", index[&input.lid]).expect("write to string");
         }
         out.push_str(")\n");
     }
@@ -559,14 +509,15 @@ mod tests {
     }
 
     #[test]
-    fn interned_twins_share_id_but_not_identity() {
+    fn interned_twins_are_one_node() {
         let a = LineageItem::leaf("intern/unique-twin-leaf");
         let b = LineageItem::leaf("intern/unique-twin-leaf");
         assert_eq!(a.lid, b.lid);
-        assert!(!Arc::ptr_eq(&a, &b), "twins keep distinct Arcs");
-        // The canonical trace is the first construction.
+        assert!(Arc::ptr_eq(&a, &b), "a twin is the canonical node");
+        let ta = LineageItem::new("r'", vec![], vec![a.clone()]);
+        let tb = LineageItem::new("r'", vec![], vec![b]);
+        assert!(Arc::ptr_eq(&ta, &tb), "twin DAGs intern to one node");
         assert!(Arc::ptr_eq(&resolve(a.lid), &a));
-        assert!(Arc::ptr_eq(&resolve(b.lid), &a));
     }
 
     #[test]
@@ -657,21 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_rebinds_to_canonical() {
-        let mut lm = LineageMap::new();
-        lm.set_leaf("X", "X.bin");
-        let t1 = lm.trace("a", "r'", vec![], &["X"]);
-        // A second, structurally identical trace under another variable.
-        lm.set_leaf("X2", "X.bin");
-        let t2 = lm.trace("b", "r'", vec![], &["X2"]);
-        assert!(lineage_eq(&t1, &t2));
-        assert!(!Arc::ptr_eq(&t1, &t2));
-        let n = lm.compact(&t2, &t1);
-        assert_eq!(n, 1);
-        assert!(Arc::ptr_eq(lm.get("b").unwrap(), &t1));
-    }
-
-    #[test]
     fn serialize_roundtrip_preserves_equality() {
         let x = LineageItem::leaf("X.bin");
         let t = LineageItem::new("r'", vec![], vec![x.clone()]);
@@ -737,6 +673,12 @@ mod tests {
         let m = mm(&t, &t);
         let log = serialize(&m);
         assert_eq!(log.lines().count(), 3, "X, t(X), mm — shared t once");
+        let twin = LineageItem::new("r'", vec![], vec![LineageItem::leaf("X")]);
+        assert_eq!(
+            serialize(&mm(&t, &twin)),
+            log,
+            "a twin sub-DAG is written once"
+        );
     }
 
     #[test]

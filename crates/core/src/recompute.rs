@@ -7,7 +7,7 @@
 //! crate provides the full implementation over its instruction set.
 
 use crate::cache::entry::CachedObject;
-use crate::lineage::{deserialize, LItem, ParseError};
+use crate::lineage::{deserialize, LItem, LineageId, ParseError};
 use std::collections::HashMap;
 
 /// Executes one lineage node given its already-computed inputs.
@@ -61,10 +61,10 @@ pub fn recompute_item<E: LineageExecutor>(
     exec: &mut E,
 ) -> Result<CachedObject, RecomputeError> {
     // Iterative post-order evaluation with memoization on node identity.
-    let mut results: HashMap<u64, CachedObject> = HashMap::new();
+    let mut results: HashMap<LineageId, CachedObject> = HashMap::new();
     let mut stack: Vec<(LItem, bool)> = vec![(root.clone(), false)];
     while let Some((item, expanded)) = stack.pop() {
-        if results.contains_key(&item.id) {
+        if results.contains_key(&item.lid) {
             continue;
         }
         if !expanded {
@@ -77,7 +77,7 @@ pub fn recompute_item<E: LineageExecutor>(
         let inputs: Vec<CachedObject> = item
             .inputs
             .iter()
-            .map(|i| results.get(&i.id).expect("post-order").clone())
+            .map(|i| results.get(&i.lid).expect("post-order").clone())
             .collect();
         let value = exec
             .execute(&item, &inputs)
@@ -85,9 +85,9 @@ pub fn recompute_item<E: LineageExecutor>(
                 opcode: item.opcode.to_string(),
                 message,
             })?;
-        results.insert(item.id, value);
+        results.insert(item.lid, value);
     }
-    Ok(results.remove(&root.id).expect("root evaluated"))
+    Ok(results.remove(&root.lid).expect("root evaluated"))
 }
 
 #[cfg(test)]

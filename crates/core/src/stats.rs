@@ -77,8 +77,6 @@ pub struct ReuseStats {
     pub gpu_evicted_to_host: AtomicU64,
     /// Full device defragmentations.
     pub gpu_defrags: AtomicU64,
-    /// LineageMap bindings rewritten by compaction.
-    pub compactions: AtomicU64,
     /// Segment files with at least one verified record found by disk-tier
     /// recovery at startup.
     pub segments_recovered: AtomicU64,
@@ -177,8 +175,6 @@ pub struct ReuseStatsSnapshot {
     pub gpu_evicted_to_host: u64,
     /// See [`ReuseStats::gpu_defrags`].
     pub gpu_defrags: u64,
-    /// See [`ReuseStats::compactions`].
-    pub compactions: u64,
     /// See [`ReuseStats::segments_recovered`].
     pub segments_recovered: u64,
     /// See [`ReuseStats::entries_recovered`].
@@ -239,7 +235,6 @@ impl ReuseStats {
             gpu_freed: self.gpu_freed.load(Ordering::Relaxed),
             gpu_evicted_to_host: self.gpu_evicted_to_host.load(Ordering::Relaxed),
             gpu_defrags: self.gpu_defrags.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
             segments_recovered: self.segments_recovered.load(Ordering::Relaxed),
             entries_recovered: self.entries_recovered.load(Ordering::Relaxed),
             entries_rehydrated: self.entries_rehydrated.load(Ordering::Relaxed),
@@ -291,7 +286,6 @@ impl memphis_obs::IntoMetrics for ReuseStatsSnapshot {
             ("gpu_freed", self.gpu_freed),
             ("gpu_evicted_to_host", self.gpu_evicted_to_host),
             ("gpu_defrags", self.gpu_defrags),
-            ("compactions", self.compactions),
             ("segments_recovered", self.segments_recovered),
             ("entries_recovered", self.entries_recovered),
             ("entries_rehydrated", self.entries_rehydrated),

@@ -13,10 +13,10 @@ pub enum ReuseMode {
     /// (`Probe` in Fig. 11).
     ProbeOnly,
     /// Fine-grained reuse of local CPU intermediates only (the LIMA
-    /// baseline [101]).
+    /// baseline \[101\]).
     Lima,
     /// Coarse-grained reuse of top-level function results only (the HELIX
-    /// baseline [125]).
+    /// baseline \[125\]).
     Helix,
     /// Full MEMPHIS: fine-grained + multi-level reuse across CPU, Spark,
     /// and GPU.

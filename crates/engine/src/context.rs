@@ -6,9 +6,8 @@ use crate::config::{EngineConfig, ReuseMode};
 use crate::cost;
 use crate::value::{Future, Value};
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::{ComputeGuard, LineageCache, Probed};
+use memphis_core::cache::{Admit, ComputeGuard, LineageCache, Probed};
 use memphis_core::lineage::{LItem, LineageItem, LineageMap};
-use memphis_core::stats::ReuseStats;
 use memphis_gpusim::{GpuDevice, GpuError};
 use memphis_matrix::{Matrix, MatrixError};
 use memphis_sparksim::SparkContext;
@@ -295,16 +294,12 @@ impl ExecutionContext {
                 let probed = self.cache.probe_or_begin(item);
                 drop(probe_span);
                 match probed {
-                    Probed::Hit(hit) | Probed::Coalesced(hit) => {
-                        if let Some(value) = self.value_from_cached(&hit.object) {
+                    Probed::Hit(object) | Probed::Coalesced(object) => {
+                        if let Some(value) = self.value_from_cached(&object) {
                             memphis_obs::instant(memphis_obs::cat::REUSE, "hit");
-                            let n = self.lineage.compact(item, &hit.canonical);
-                            for _ in 0..n {
-                                ReuseStats::inc(&self.cache.stats_handle().compactions);
-                            }
                             let cost = 1.0; // reused: cost refreshed below by entry metadata
                             self.stats.reused += 1;
-                            self.bind(out, value, Some(hit.canonical), cost);
+                            self.bind(out, value, Some(item.clone()), cost);
                             return Ok(());
                         }
                         // Unconsumable representation: execute without
@@ -359,13 +354,17 @@ impl ExecutionContext {
                         .shape()
                         .map(|(r, c)| cost::dense_bytes(r, c))
                         .unwrap_or(16);
+                    let admit = Admit {
+                        delay: self.delay,
+                        ..Admit::new(cost_v, size_hint)
+                    };
                     match guard.take() {
                         // Owner path: hand the result to every waiter.
                         Some(g) => {
-                            self.cache.complete(g, obj, cost_v, size_hint, self.delay);
+                            self.cache.complete(g, obj, admit);
                         }
                         None => {
-                            self.cache.put(item, obj, cost_v, size_hint, self.delay);
+                            self.cache.put(item, obj, admit);
                         }
                     }
                 }
@@ -530,8 +529,8 @@ impl ExecutionContext {
                             cache.note_job(item);
                             let collected = LineageItem::new("collect", vec![], vec![item.clone()]);
                             match cache.probe_or_begin(&collected) {
-                                Probed::Hit(h) | Probed::Coalesced(h) => {
-                                    if let CachedObject::Matrix(m) = h.object {
+                                Probed::Hit(object) | Probed::Coalesced(object) => {
+                                    if let CachedObject::Matrix(m) = object {
                                         fut.fulfill(Value::Matrix(m.as_ref().clone()));
                                         return;
                                     }
@@ -544,9 +543,7 @@ impl ExecutionContext {
                                         cache.complete(
                                             g,
                                             CachedObject::Matrix(Arc::new(m.clone())),
-                                            cost,
-                                            size,
-                                            1,
+                                            Admit::new(cost, size),
                                         );
                                         fut.fulfill(Value::Matrix(m));
                                     }
@@ -680,7 +677,7 @@ impl ExecutionContext {
                 if hits.iter().all(|h| h.is_some()) {
                     for ((out, item), hit) in outputs.iter().zip(items).zip(hits) {
                         let hit = hit.expect("checked");
-                        if let Some(value) = self.value_from_cached(&hit.object) {
+                        if let Some(value) = self.value_from_cached(&hit) {
                             self.bind(out, value, Some(item.clone()), 1.0);
                         } else {
                             // Unconsumable cached object: fall through to
@@ -720,7 +717,7 @@ impl ExecutionContext {
                             .shape()
                             .map(|(r, c)| cost::dense_bytes(r, c))
                             .unwrap_or(16);
-                        self.cache.put(&item, obj, cost, size_hint, 1);
+                        self.cache.put(&item, obj, Admit::new(cost, size_hint));
                     }
                     let b = self.vars.get_mut(*out).expect("bound");
                     b.lineage = Some(item.clone());

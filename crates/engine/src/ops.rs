@@ -200,9 +200,10 @@ impl ExecutionContext {
                         memphis_core::cache::entry::CachedObject::Matrix(std::sync::Arc::new(
                             m.clone(),
                         )),
-                        op_cost,
-                        size,
-                        delay,
+                        memphis_core::cache::Admit {
+                            delay,
+                            ..memphis_core::cache::Admit::new(op_cost, size)
+                        },
                     );
                 }
             }

@@ -1,4 +1,4 @@
-//! Recursive-descent parser producing the [`ast::Script`] tree. Operator
+//! Recursive-descent parser producing the [`crate::ast::Script`] tree. Operator
 //! precedence (loosest to tightest): comparisons, `+ -`, `* /`, `%*%`,
 //! unary `-`, `^`.
 

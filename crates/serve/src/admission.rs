@@ -120,18 +120,6 @@ impl TenantCaps {
     pub fn high_water(&self, tenant: TenantId) -> usize {
         self.high_water.get(&tenant).copied().unwrap_or(0)
     }
-
-    /// `(tenant, high_water, cap)` rows, sorted by tenant for
-    /// deterministic reporting.
-    pub fn high_water_report(&self) -> Vec<(TenantId, usize, usize)> {
-        let mut rows: Vec<_> = self
-            .high_water
-            .iter()
-            .map(|(t, hw)| (*t, *hw, self.cap(*t)))
-            .collect();
-        rows.sort_by_key(|r| r.0);
-        rows
-    }
 }
 
 #[cfg(test)]

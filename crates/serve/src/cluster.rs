@@ -199,11 +199,7 @@ impl ClusterDispatcher {
                     shared += 1;
                     let item = shared_item(idx);
                     match self.cluster.probe_or_begin_from(origin, &item) {
-                        ClusterProbed::Hit { hit, .. } => match &hit.object {
-                            CachedObject::Matrix(m) => fold(m.fingerprint()),
-                            CachedObject::Scalar(s) => fold(s.to_bits()),
-                            _ => fold(0),
-                        },
+                        ClusterProbed::Hit { object, .. } => fold(object.fingerprint()),
                         ClusterProbed::Compute(g) => {
                             let m = Arc::new(shared_payload(idx));
                             fold(m.fingerprint());

@@ -25,7 +25,7 @@
 //!
 //! Determinism is the design axis: transient faults, arrivals, and
 //! request shapes are all SplitMix64 hashes of stable identifiers
-//! ([`rng`], mirroring the sparksim `FaultPlan`), scheduling runs on a
+//! (the crate's `rng` module, mirroring the sparksim `FaultPlan`), scheduling runs on a
 //! virtual tick clock, and worker threads execute only pure payloads.
 
 pub mod admission;

@@ -12,13 +12,15 @@
 //!    strike at launch, before side effects); deduplicate same-item
 //!    requests within the batch (followers ride the first request's
 //!    outcome — serve-level coalescing); probe the shared lineage cache
-//!    via [`LineageCache::probe_or_begin_as`], holding the
+//!    via [`LineageCache::probe_or_begin`], holding the
 //!    [`ComputeGuard`] of every miss.
 //! 2. **Execute** (parallel): compute owned payloads and run pipeline
-//!    requests on a pool of `workers` scoped threads.
-//! 3. **Commit** (dispatcher, in dispatch order): complete each guard —
-//!    so every cache mutation (admissions, eq. (1)/quota evictions,
-//!    spills) happens in a deterministic order.
+//!    requests on a pool of `workers` threads — the dispatcher itself
+//!    plus `workers - 1` scoped helpers, so one worker spawns nothing.
+//! 3. **Commit** (dispatcher, in dispatch order): complete each guard,
+//!    charging the entry to the request's tenant — so every cache
+//!    mutation (admissions, eq. (1)/quota evictions, spills) happens in
+//!    a deterministic order.
 //!
 //! The consequence is the serving determinism the experiments gate on:
 //! every counter in [`ServeCounters::deterministic_slice`] is identical
@@ -39,7 +41,7 @@ use crate::request::{Outcome, Request, TenantId, Work};
 use crate::rng::salt;
 use crate::stats::ServeCounters;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::{ComputeGuard, LineageCache, MemoryPressure, Probed};
+use memphis_core::cache::{Admit, ComputeGuard, LineageCache, MemoryPressure, Probed};
 use memphis_core::lineage::{LItem, LineageId, LineageItem};
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_matrix::hash::decide4;
@@ -587,7 +589,7 @@ impl Scheduler {
 
         // Phase 1: classify sequentially on the dispatcher.
         let mut jobs: Vec<Job> = Vec::new();
-        let mut guards: Vec<(LineageId, ComputeGuard, usize)> = Vec::new(); // (key, guard, job)
+        let mut guards: Vec<(ComputeGuard, usize, TenantId)> = Vec::new(); // (guard, job, tenant)
         let mut pipes: Vec<(usize, usize, &'static str)> = Vec::new(); // (table idx, job, kind)
         let mut batch_items: HashSet<usize> = HashSet::new();
         for &id in batch {
@@ -612,10 +614,7 @@ impl Scheduler {
                         counters.coalesced += 1;
                         continue;
                     }
-                    match self
-                        .cache
-                        .probe_or_begin_as(&shared_item(idx), Some(st.req.tenant))
-                    {
+                    match self.cache.probe_or_begin(&shared_item(idx)) {
                         Probed::Hit(_) | Probed::Coalesced(_) => counters.hits += 1,
                         Probed::Compute(g) => {
                             let key = g.key();
@@ -628,7 +627,7 @@ impl Scheduler {
                             }
                             in_progress.insert(key);
                             jobs.push(Job::Payload { item: idx });
-                            guards.push((key, g, jobs.len() - 1));
+                            guards.push((g, jobs.len() - 1, st.req.tenant));
                         }
                     }
                 }
@@ -645,45 +644,48 @@ impl Scheduler {
         } else {
             let slots: Vec<Mutex<Option<JobOut>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
-            let nworkers = self.cfg.workers.clamp(1, jobs.len());
-            std::thread::scope(|scope| {
-                for _ in 0..nworkers {
-                    let next = &next;
-                    let slots = &slots;
-                    let jobs = &jobs;
-                    let cache = &self.cache;
-                    scope.spawn(move || loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs.len() {
-                            break;
-                        }
-                        let out = match &jobs[j] {
-                            Job::Payload { item } => JobOut::Matrix(shared_payload(*item)),
-                            Job::Pipe { kind } => {
-                                let mut ctx = pipelines::session_context(cache);
-                                JobOut::Check(
-                                    pipelines::run_session_kind(&mut ctx, kind)
-                                        .map_err(|e| format!("{e:?}")),
-                                )
-                            }
-                        };
-                        *slots[j].lock() = Some(out);
-                    });
+            let cache = &self.cache;
+            let work = || loop {
+                let j = next.fetch_add(1, Ordering::Relaxed);
+                if j >= jobs.len() {
+                    break;
                 }
+                let out = match &jobs[j] {
+                    Job::Payload { item } => JobOut::Matrix(shared_payload(*item)),
+                    Job::Pipe { kind } => {
+                        let mut ctx = pipelines::session_context(cache);
+                        JobOut::Check(
+                            pipelines::run_session_kind(&mut ctx, kind)
+                                .map_err(|e| format!("{e:?}")),
+                        )
+                    }
+                };
+                *slots[j].lock() = Some(out);
+            };
+            // The dispatcher runs the job loop too: `workers - 1` helpers.
+            let helpers = self.cfg.workers.clamp(1, jobs.len()) - 1;
+            std::thread::scope(|scope| {
+                for _ in 0..helpers {
+                    scope.spawn(work);
+                }
+                work();
             });
             slots.into_iter().map(|m| m.into_inner()).collect()
         };
 
         // Phase 3: commit sequentially on the dispatcher, in dispatch
         // order — cache admissions and evictions are fully ordered.
-        for (key, guard, j) in guards {
+        for (guard, j, tenant) in guards {
             let Some(JobOut::Matrix(m)) = results[j].take() else {
                 unreachable!("payload job produced a matrix");
             };
             let m = Arc::new(m);
-            let size = m.size_bytes();
-            self.cache
-                .complete(guard, CachedObject::Matrix(m), ITEM_COST, size, 1);
+            let key = guard.key();
+            let admit = Admit {
+                tenant: Some(tenant),
+                ..Admit::new(ITEM_COST, m.size_bytes())
+            };
+            self.cache.complete(guard, CachedObject::Matrix(m), admit);
             in_progress.remove(&key);
             computed_before.insert(key);
         }

@@ -6,7 +6,7 @@
 //!
 //! - **Lazy evaluation**: RDDs are transformation DAG nodes; nothing runs
 //!   until an *action* (`collect`, `reduce`, `count`) triggers a job.
-//! - **Stage scheduling**: the [`scheduler::DagScheduler`] splits each job
+//! - **Stage scheduling**: the DAG scheduler ([`scheduler`]) splits each job
 //!   into stages at shuffle boundaries, runs map stages first, and skips
 //!   stages whose shuffle files are still available (Spark's implicit
 //!   shuffle-file caching).

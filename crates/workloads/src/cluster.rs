@@ -147,21 +147,6 @@ pub fn cluster_payload(i: usize) -> CachedObject {
     )))
 }
 
-fn object_fingerprint(o: &CachedObject) -> u64 {
-    match o {
-        CachedObject::Matrix(m) => m.fingerprint(),
-        CachedObject::Scalar(s) => s.to_bits(),
-        _ => 0,
-    }
-}
-
-fn object_size(o: &CachedObject) -> usize {
-    match o {
-        CachedObject::Matrix(m) => m.size_bytes(),
-        _ => std::mem::size_of::<f64>(),
-    }
-}
-
 /// Analytical compute cost of a trace item.
 const ITEM_COST: f64 = 50.0;
 
@@ -184,6 +169,10 @@ pub fn run_cluster(p: &ClusterParams) -> ClusterReport {
     };
     let node_ids: Vec<NodeId> = (0..p.nodes as NodeId).collect();
     let cluster = ClusterCache::new(cfg, &node_ids);
+    let payload_bytes = match cluster_payload(0) {
+        CachedObject::Matrix(m) => m.size_bytes(),
+        _ => unreachable!("cluster payloads are matrices"),
+    };
 
     let join_at = if p.churn { p.requests / 3 } else { usize::MAX };
     let leave_at = if p.churn {
@@ -224,8 +213,8 @@ pub fn run_cluster(p: &ClusterParams) -> ClusterReport {
         let item = cluster_item(idx);
 
         match cluster.probe_or_begin_from(origin, &item) {
-            ClusterProbed::Hit { hit, locality } => {
-                fold(object_fingerprint(&hit.object));
+            ClusterProbed::Hit { object, locality } => {
+                fold(object.fingerprint());
                 if idx < p.hot_items {
                     let server = locality.node().unwrap_or(origin);
                     *hot_counts.entry(server).or_insert(0) += 1;
@@ -233,9 +222,8 @@ pub fn run_cluster(p: &ClusterParams) -> ClusterReport {
             }
             ClusterProbed::Compute(g) => {
                 let obj = cluster_payload(idx);
-                fold(object_fingerprint(&obj));
-                let size = object_size(&obj);
-                cluster.complete_from(g, obj, ITEM_COST, size);
+                fold(obj.fingerprint());
+                cluster.complete_from(g, obj, ITEM_COST, payload_bytes);
                 if !computed.insert(idx) {
                     recomputes += 1;
                 }

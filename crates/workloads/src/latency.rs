@@ -37,7 +37,7 @@
 //! the digest is an order-sensitive FNV fold.
 
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::{LineageCache, MemoryPressure, Probed};
+use memphis_core::cache::{Admit, LineageCache, MemoryPressure, Probed};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_core::{CacheConfig, CachePolicy};
@@ -311,9 +311,9 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
         }
 
         for g in groups {
-            let per_arrival = match cache.probe_or_begin_as(&g.item, Some(g.tenant)) {
-                Probed::Hit(hit) | Probed::Coalesced(hit) => {
-                    let f = fingerprint_of(&hit.object);
+            let per_arrival = match cache.probe_or_begin(&g.item) {
+                Probed::Hit(object) | Probed::Coalesced(object) => {
+                    let f = object.fingerprint();
                     for _ in 0..g.arrivals {
                         fold(f);
                     }
@@ -321,8 +321,12 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
                 }
                 Probed::Compute(guard) => {
                     let obj = latency_payload(g.class_salt, g.index);
-                    let f = fingerprint_of(&obj);
-                    cache.complete(guard, obj, g.cost, payload_bytes, 1);
+                    let f = obj.fingerprint();
+                    let admit = Admit {
+                        tenant: Some(g.tenant),
+                        ..Admit::new(g.cost, payload_bytes)
+                    };
+                    cache.complete(guard, obj, admit);
                     // Every batched arrival beyond the first coalesced
                     // behind this miss — the aggregate-delay evidence.
                     if g.arrivals > 1 {
@@ -350,14 +354,6 @@ pub fn run_latency(p: &LatencyParams, policy: CachePolicy) -> LatencyReport {
         coalesced_arrivals,
         latencies,
         reuse: cache.stats(),
-    }
-}
-
-fn fingerprint_of(o: &CachedObject) -> u64 {
-    match o {
-        CachedObject::Matrix(m) => m.fingerprint(),
-        CachedObject::Scalar(s) => s.to_bits(),
-        _ => 0,
     }
 }
 

@@ -11,12 +11,13 @@
 //!    coalesced-hit count deterministic: `sessions - 1`.
 //! 2. **Shared working set** — sessions sweep a common set of lineage
 //!    items in rotated orders. Whoever wins ownership computes and
-//!    completes (the first few pinned via
-//!    [`LineageCache::complete_pinned`]); everyone else hits or
-//!    coalesces. An overlap set tracks concurrent computations of the
-//!    same id — with coalescing it must stay empty.
+//!    completes (the first few pinned at admission with
+//!    [`Admit::pin`]); everyone else hits or coalesces. An overlap set
+//!    tracks concurrent computations of the same id — with coalescing
+//!    it must stay empty.
 //! 3. **Pipeline mix + churn** — each session builds its own
-//!    [`ExecutionContext`] over the shared cache and runs one of the
+//!    [`ExecutionContext`](memphis_engine::ExecutionContext) over the
+//!    shared cache and runs one of the
 //!    paper's pipelines (hcv / pnmf / hband / tlvis), then churns
 //!    session-private puts to drive the local tier through its budget.
 //!    Sessions assigned the same pipeline share lineage end-to-end, so
@@ -28,7 +29,7 @@
 use crate::pipelines;
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::{LineageCache, Probed};
+use memphis_core::cache::{Admit, LineageCache, Probed};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_matrix::Matrix;
@@ -263,7 +264,11 @@ pub fn run_warm_restart(p: &ServeParams, dir: &std::path::Path) -> WarmRestartRe
             if let Probed::Compute(guard) = cache.probe_or_begin(&shared_item(idx)) {
                 let m = shared_payload(idx);
                 let size = m.size_bytes();
-                cache.complete(guard, CachedObject::Matrix(Arc::new(m)), 100.0, size, 1);
+                cache.complete(
+                    guard,
+                    CachedObject::Matrix(Arc::new(m)),
+                    Admit::new(100.0, size),
+                );
             }
             // Prove reuse before eviction pressure reaches this entry.
             cache.probe(&shared_item(idx)).expect("just completed");
@@ -330,7 +335,11 @@ fn run_rendezvous(cache: &LineageCache, item: &LItem, p: &ServeParams, coalesced
             }
             let m = shared_payload(0);
             let size = m.size_bytes();
-            cache.complete(guard, CachedObject::Matrix(Arc::new(m)), 50.0, size, 1);
+            cache.complete(
+                guard,
+                CachedObject::Matrix(Arc::new(m)),
+                Admit::new(50.0, size),
+            );
         }
         Probed::Coalesced(_) => {
             coalesced.fetch_add(1, Ordering::Relaxed);
@@ -364,11 +373,11 @@ fn run_shared_sweep(cache: &LineageCache, p: &ServeParams, s: usize, ledger: &Mu
                 let obj = CachedObject::Matrix(Arc::new(m));
                 // High cost keeps unpinned shared entries score-favoured
                 // over cheap churn, without exempting them from eviction.
-                if idx < p.pinned_items {
-                    cache.complete_pinned(guard, obj, 100.0, size);
-                } else {
-                    cache.complete(guard, obj, 100.0, size, 1);
-                }
+                let admit = Admit {
+                    pin: idx < p.pinned_items,
+                    ..Admit::new(100.0, size)
+                };
+                cache.complete(guard, obj, admit);
                 let mut led = ledger.lock();
                 led.in_progress.remove(&idx);
                 *led.counts.entry(idx).or_insert(0) += 1;
@@ -390,7 +399,11 @@ fn run_session_pipeline(cache: &Arc<LineageCache>, p: &ServeParams, s: usize) ->
         let item = LineageItem::leaf(&format!("serve/churn_s{s}_r{r}"));
         let m = Matrix::zeros(16, 16);
         let size = m.size_bytes();
-        cache.put(&item, CachedObject::Matrix(Arc::new(m)), 1.0, size, 1);
+        cache.put(
+            &item,
+            CachedObject::Matrix(Arc::new(m)),
+            Admit::new(1.0, size),
+        );
     }
     (kind.to_string(), check)
 }

@@ -3,9 +3,9 @@
 //! A counting global allocator wraps the system allocator; after warming
 //! the cache, a loop of `probe()` hits must perform **zero** heap
 //! allocations: the key is the `Copy` interned `LineageId`, the shard
-//! lookup hashes a single `u64`, the canonical item comes out of the
-//! intern table as an `Arc` refcount bump, and the disabled
-//! observability spans return stack-only guards.
+//! lookup hashes a single `u64`, the object comes back as a cloned
+//! handle (a refcount bump), and the disabled observability spans
+//! return stack-only guards.
 //!
 //! This file deliberately holds a SINGLE test: the default test harness
 //! runs tests on threads whose own bookkeeping would pollute a global
@@ -17,7 +17,7 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::LineageCache;
+use memphis_core::cache::{Admit, LineageCache};
 use memphis_core::lineage::LineageItem;
 use memphis_matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,9 +85,7 @@ fn warm_probe_hits_allocate_nothing() {
         cache.put(
             it,
             CachedObject::Matrix(Arc::new(payload.clone())),
-            10.0,
-            size,
-            1,
+            Admit::new(10.0, size),
         );
     }
     // One full pass outside the measured window: first hits bump
@@ -102,12 +100,11 @@ fn warm_probe_hits_allocate_nothing() {
     for _ in 0..64 {
         for it in &items {
             let hit = cache.probe(it).expect("warm probe must hit");
-            // Consume the hit as a caller would: touch the object and
-            // canonical item, then drop both (refcount traffic only).
-            if let CachedObject::Matrix(m) = &hit.object {
+            // Consume the hit as a caller would: touch the object, then
+            // drop it (refcount traffic only).
+            if let CachedObject::Matrix(m) = &hit {
                 assert_eq!(m.size_bytes(), size);
             }
-            assert_eq!(hit.canonical.opcode.as_ref(), "op");
             hits += 1;
         }
     }

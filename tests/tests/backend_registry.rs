@@ -5,7 +5,7 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::{CacheEntry, CachedObject};
-use memphis_core::cache::LineageCache;
+use memphis_core::cache::{Admit, LineageCache};
 use memphis_core::lineage::{LineageId, LineageItem};
 use memphis_core::{
     BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EvictionPolicy, Materialized,
@@ -107,16 +107,16 @@ fn custom_backend_registers_and_serves_probes() {
     let cache = LineageCache::new(CacheConfig::test()).with_backend(shadow.clone());
 
     let item = LineageItem::leaf("ext");
-    assert!(cache.put_on(
+    assert!(cache.put(
         &item,
         CachedObject::Scalar(42.0),
-        5.0,
-        16,
-        1,
-        BackendId::Custom(7),
+        Admit {
+            tier: Some(BackendId::Custom(7)),
+            ..Admit::new(5.0, 16)
+        }
     ));
     let hit = cache.probe(&item).expect("custom tier serves the probe");
-    assert!(matches!(hit.object, CachedObject::Scalar(v) if v == 42.0));
+    assert!(matches!(hit, CachedObject::Scalar(v) if v == 42.0));
     assert_eq!(shadow.puts.load(Ordering::Relaxed), 1);
     assert_eq!(shadow.hits.load(Ordering::Relaxed), 1);
 
@@ -161,11 +161,13 @@ fn concurrent_probe_put_smoke() {
                     cache.put(
                         &shared,
                         CachedObject::Matrix(Arc::new(m.clone())),
-                        2.0,
-                        m.size_bytes(),
-                        1,
+                        Admit::new(2.0, m.size_bytes()),
                     );
-                    cache.put(&private, CachedObject::Matrix(Arc::new(m)), 1.0, 512, 1);
+                    cache.put(
+                        &private,
+                        CachedObject::Matrix(Arc::new(m)),
+                        Admit::new(1.0, 512),
+                    );
                     let _ = cache.probe(&shared);
                     let _ = cache.probe(&private);
                 }
@@ -227,7 +229,7 @@ proptest! {
             .collect();
         for (item, cost) in items.iter().zip(&costs) {
             let m = Matrix::zeros(8, 8);
-            cache.put(item, CachedObject::Matrix(Arc::new(m)), *cost, size, 1);
+            cache.put(item, CachedObject::Matrix(Arc::new(m)), Admit::new(*cost, size));
         }
         for (i, item) in items.iter().enumerate() {
             let hit = cache.probe(item).is_some();
@@ -252,7 +254,7 @@ proptest! {
         for (i, rows) in sizes.iter().enumerate() {
             let m = Matrix::zeros(*rows, 8);
             let item = LineageItem::leaf(&format!("s{i}"));
-            cache.put(&item, CachedObject::Matrix(Arc::new(m)), 1.0, rows * 64, 1);
+            cache.put(&item, CachedObject::Matrix(Arc::new(m)), Admit::new(1.0, rows * 64));
             for s in cache.backend_snapshots() {
                 if s.budget != usize::MAX {
                     prop_assert!(s.used <= s.budget, "{} over budget", s.id);

@@ -74,9 +74,16 @@ fn workflow_defines_lint_and_test_jobs_with_caching() {
             job.trim()
         );
     }
-    // The lint job fails early and independently.
+    // The lint job fails early and independently; it also builds the
+    // docs with warnings denied, as `ci.sh`'s lint stage does.
     assert!(y.contains("cargo clippy --all-targets -- -D warnings"));
     assert!(y.contains("cargo fmt --check"));
+    let doc = r#"RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace"#;
+    assert!(y.contains(doc), "ci.yml: the lint job must build the docs");
+    assert!(
+        stage_body(&ci_script(), "lint").contains(doc),
+        "ci.sh: the lint stage must build the docs"
+    );
     // Both jobs cache the cargo registry and target dir, keyed on the
     // lockfile.
     assert_eq!(

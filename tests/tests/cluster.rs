@@ -251,10 +251,10 @@ fn begin_then_complete(cluster: &ClusterCache, i: usize, between: impl FnOnce(No
 fn served_digest(cluster: &ClusterCache, items: &BTreeSet<usize>) -> u64 {
     let mut h = FNV_OFFSET;
     for &i in items {
-        let (hit, _) = cluster
+        let (object, _) = cluster
             .probe_from(origin_of(cluster, i), &cluster_item(i))
             .unwrap_or_else(|| panic!("proven item {i} was lost"));
-        let fp = match &hit.object {
+        let fp = match &object {
             CachedObject::Matrix(m) => m.fingerprint(),
             _ => panic!("expected the matrix payload"),
         };
@@ -375,7 +375,7 @@ fn remote_misses_coalesce_on_the_owner() {
             let item = item.clone();
             std::thread::spawn(
                 move || match cluster.probe_or_begin_from(t as NodeId, &item) {
-                    ClusterProbed::Hit { hit, .. } => match &hit.object {
+                    ClusterProbed::Hit { object, .. } => match &object {
                         CachedObject::Matrix(m) => m.fingerprint(),
                         _ => panic!("expected the matrix payload"),
                     },

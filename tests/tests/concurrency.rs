@@ -7,7 +7,7 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::{LineageCache, Probed};
+use memphis_core::cache::{Admit, LineageCache, Probed};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_engine::{EngineConfig, ExecutionContext, ReuseMode};
 use memphis_integration::chaos_seed;
@@ -114,7 +114,11 @@ fn concurrent_probes_compute_exactly_once() {
                         computes.fetch_add(1, Ordering::Relaxed);
                         let m = payload();
                         let size = m.size_bytes();
-                        cache.complete(g, CachedObject::Matrix(Arc::new(m)), 10.0, size, 1);
+                        cache.complete(
+                            g,
+                            CachedObject::Matrix(Arc::new(m)),
+                            Admit::new(10.0, size),
+                        );
                     }
                     Probed::Coalesced(_) => {
                         coalesced.fetch_add(1, Ordering::Relaxed);
@@ -154,7 +158,7 @@ fn abandoned_computation_wakes_waiters_to_retry() {
             Probed::Compute(g) => {
                 let m = payload();
                 let size = m.size_bytes();
-                cache.complete(g, CachedObject::Matrix(Arc::new(m)), 1.0, size, 1);
+                cache.complete(g, CachedObject::Matrix(Arc::new(m)), Admit::new(1.0, size));
                 true
             }
             _ => false,
@@ -226,11 +230,13 @@ fn stress(threads: usize, shared: usize, churn: usize, seed: u64) -> StressOutco
                             // Pinned completion: the shared set can never
                             // be evicted, so each id computes exactly once
                             // globally.
-                            cache.complete_pinned(
+                            cache.complete(
                                 g,
                                 CachedObject::Matrix(Arc::new(m)),
-                                50.0,
-                                psize,
+                                Admit {
+                                    pin: true,
+                                    ..Admit::new(50.0, psize)
+                                },
                             );
                             let mut led = ledger.lock().unwrap();
                             led.1.remove(&idx);
@@ -243,9 +249,7 @@ fn stress(threads: usize, shared: usize, churn: usize, seed: u64) -> StressOutco
                     cache.put(
                         &churn_item,
                         CachedObject::Matrix(Arc::new(payload())),
-                        1.0,
-                        psize,
-                        1,
+                        Admit::new(1.0, psize),
                     );
                     let _ = cache.probe(&churn_item);
                 }
@@ -356,7 +360,11 @@ fn inflight_wait_span_recorded_for_coalesced_probe() {
     }
     let m = payload();
     let size = m.size_bytes();
-    cache.complete(guard, CachedObject::Matrix(Arc::new(m)), 1.0, size, 1);
+    cache.complete(
+        guard,
+        CachedObject::Matrix(Arc::new(m)),
+        Admit::new(1.0, size),
+    );
     assert!(waiter.join().unwrap(), "second probe coalesces");
 
     let trace = memphis_obs::drain();

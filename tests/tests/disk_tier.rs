@@ -6,7 +6,7 @@
 use memphis_core::backend::BackendId;
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::LineageCache;
+use memphis_core::cache::{Admit, LineageCache};
 use memphis_core::lineage::{LItem, LineageItem};
 use memphis_integration::chaos_seed;
 use memphis_matrix::rand_gen::rand_uniform;
@@ -52,9 +52,9 @@ fn spill_then_disk_hit_promotes_bit_identical() {
     let i1 = item("disk/m1");
     let i2 = item("disk/m2");
 
-    c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+    c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
     c.probe(&i1).expect("warm hit"); // proven reusable → spills, not drops
-    c.put(&i2, mat(&m2), 100.0, m2.size_bytes(), 1);
+    c.put(&i2, mat(&m2), Admit::new(100.0, m2.size_bytes()));
 
     let s = c.stats();
     assert_eq!(s.local_spills, 1, "cheaper proven entry spilled");
@@ -65,8 +65,7 @@ fn spill_then_disk_hit_promotes_bit_identical() {
 
     // Disk hit: contents must be bit-identical (tolerance 0.0), and
     // promote-on-hit must move the bytes back to the local tier.
-    let hit = c.probe(&i1).expect("disk hit");
-    match hit.object {
+    match c.probe(&i1).expect("disk hit") {
         CachedObject::Matrix(got) => {
             assert!(got.approx_eq(&m1, 0.0), "disk round-trip must be exact")
         }
@@ -105,9 +104,13 @@ fn spill_write_failure_drops_cleanly_and_counts() {
     let m2 = rand_uniform(32, 32, -1.0, 1.0, seed + 1);
     let i1 = item("disk/fail1");
 
-    c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+    c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
     c.probe(&i1).expect("warm hit"); // proven: would spill if disk worked
-    c.put(&item("disk/fail2"), mat(&m2), 100.0, m2.size_bytes(), 1);
+    c.put(
+        &item("disk/fail2"),
+        mat(&m2),
+        Admit::new(100.0, m2.size_bytes()),
+    );
 
     let s = c.stats();
     assert!(s.disk_io_errors >= 1, "failed spill write must be counted");
@@ -124,8 +127,8 @@ fn spill_write_failure_drops_cleanly_and_counts() {
     );
 
     // The cache stays fully usable after the failure.
-    c.put(&i1, mat(&m1), 200.0, m1.size_bytes(), 1);
-    match c.probe(&i1).expect("re-put hits in memory").object {
+    c.put(&i1, mat(&m1), Admit::new(200.0, m1.size_bytes()));
+    match c.probe(&i1).expect("re-put hits in memory") {
         CachedObject::Matrix(got) => assert!(got.approx_eq(&m1, 0.0)),
         other => panic!("unexpected {other:?}"),
     }
@@ -148,9 +151,13 @@ fn disk_io_errors_surface_in_metrics_and_snapshots() {
     let m1 = rand_uniform(32, 32, -1.0, 1.0, seed);
     let m2 = rand_uniform(32, 32, -1.0, 1.0, seed + 1);
     let i1 = item("disk/metrics1");
-    c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+    c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
     c.probe(&i1).expect("warm hit");
-    c.put(&item("disk/metrics2"), mat(&m2), 100.0, m2.size_bytes(), 1);
+    c.put(
+        &item("disk/metrics2"),
+        mat(&m2),
+        Admit::new(100.0, m2.size_bytes()),
+    );
 
     let snap = c.stats();
     assert!(snap.disk_io_errors >= 1);
@@ -200,14 +207,12 @@ fn spill_keys_are_content_hashes_stable_across_restart() {
         cfg.local_budget = 12 << 10;
         cfg.persist_dir = Some(dir.clone());
         let c = LineageCache::new(cfg);
-        c.put(&i1, mat(&m1), 1.0, m1.size_bytes(), 1);
+        c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
         c.probe(&i1).expect("warm hit"); // proven → spills
         c.put(
             &item("disk/stable_pressure"),
             mat(&m2),
-            100.0,
-            m2.size_bytes(),
-            1,
+            Admit::new(100.0, m2.size_bytes()),
         );
         assert_eq!(c.stats().local_spills, 1);
         let disk = c
@@ -263,7 +268,7 @@ fn spill_keys_are_content_hashes_stable_across_restart() {
         digest,
         "recovery must not rewrite the durable state"
     );
-    match c.probe(&i1).expect("recovered disk hit").object {
+    match c.probe(&i1).expect("recovered disk hit") {
         CachedObject::Matrix(got) => {
             assert!(got.approx_eq(&m1, 0.0), "recovered bytes bit-identical")
         }

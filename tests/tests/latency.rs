@@ -13,7 +13,7 @@
 
 use memphis_core::cache::entry::{CacheEntry, TTNA_ALPHA};
 use memphis_core::{
-    CacheConfig, CachePolicy, CachedObject, EvictionPolicy, LineageCache, LineageItem,
+    Admit, CacheConfig, CachePolicy, CachedObject, EvictionPolicy, LineageCache, LineageItem,
     MemoryPressure, Probed, ReuseStats,
 };
 use memphis_integration::chaos_seed;
@@ -83,7 +83,7 @@ fn probe_path_feeds_ttna_and_waiters_into_entry_meta() {
     let Probed::Compute(g) = cache.probe_or_begin(&item) else {
         panic!("first probe must own the computation");
     };
-    cache.complete(g, payload(1), 10.0, payload_bytes(), 1);
+    cache.complete(g, payload(1), Admit::new(10.0, payload_bytes()));
     cache.note_miss_waiters(&item, 7);
 
     // Admission seeds the probe tick, so the first post-admission hit
@@ -185,10 +185,10 @@ fn evict_then_readmit(policy: CachePolicy, pressure: MemoryPressure) -> (bool, L
     let victim = LineageItem::leaf("latency/shed_victim");
     // Never probed after admission: estimated TTNA is unknown
     // (infinite), which any finite expected lifetime rejects.
-    assert!(cache.put(&victim, payload(100), 5.0, payload_bytes(), 1));
+    assert!(cache.put(&victim, payload(100), Admit::new(5.0, payload_bytes())));
     for i in 0..8 {
         let filler = LineageItem::leaf(&format!("latency/shed_filler{i}"));
-        let ok = cache.put(&filler, payload(i), 1000.0, payload_bytes(), 1);
+        let ok = cache.put(&filler, payload(i), Admit::new(1000.0, payload_bytes()));
         assert!(ok, "filler {i} must admit");
         // Probing builds up refs so fillers out-score the victim.
         assert!(cache.probe(&filler).is_some());
@@ -200,7 +200,7 @@ fn evict_then_readmit(policy: CachePolicy, pressure: MemoryPressure) -> (bool, L
     );
 
     cache.set_memory_pressure(pressure);
-    let readmitted = cache.put(&victim, payload(100), 5.0, payload_bytes(), 1);
+    let readmitted = cache.put(&victim, payload(100), Admit::new(5.0, payload_bytes()));
     (readmitted, cache)
 }
 
@@ -234,14 +234,14 @@ fn normal_pressure_admits_the_same_entry_and_clears_the_ghost() {
     let victim = LineageItem::leaf("latency/shed_victim");
     for i in 8..16 {
         let filler = LineageItem::leaf(&format!("latency/shed_filler{i}"));
-        assert!(cache.put(&filler, payload(i), 1000.0, payload_bytes(), 1));
+        assert!(cache.put(&filler, payload(i), Admit::new(1000.0, payload_bytes())));
         assert!(cache.probe(&filler).is_some());
         assert!(cache.probe(&filler).is_some());
     }
     assert!(cache.probe(&victim).is_none(), "second eviction expected");
     cache.set_memory_pressure(MemoryPressure::Shed);
     assert!(
-        cache.put(&victim, payload(100), 5.0, payload_bytes(), 1),
+        cache.put(&victim, payload(100), Admit::new(5.0, payload_bytes())),
         "near-TTNA entries pass the admission gate even under Shed"
     );
     assert_eq!(cache.stats().ttna_admission_rejects, 0);
@@ -327,7 +327,7 @@ fn delayed_hits_protects_coalesced_batches_concurrently() {
             std::thread::spawn(move || match cache.probe_or_begin(&item) {
                 Probed::Compute(g) => {
                     std::thread::sleep(std::time::Duration::from_millis(20));
-                    cache.complete(g, payload(3), 50.0, 1 << 10, 1);
+                    cache.complete(g, payload(3), Admit::new(50.0, 1 << 10));
                     0u64
                 }
                 // Only coalesced probes actually waited on the flight;

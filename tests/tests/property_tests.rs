@@ -4,7 +4,7 @@
 
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::entry::CachedObject;
-use memphis_core::cache::LineageCache;
+use memphis_core::cache::{Admit, LineageCache};
 use memphis_core::lineage::{deserialize, lineage_eq, serialize, LItem, LineageItem};
 use memphis_gpusim::Arena;
 use memphis_matrix::ops::agg::{aggregate, AggOp};
@@ -85,18 +85,20 @@ proptest! {
         recipe in proptest::collection::vec((0u8..4, 0u8..16, 0u8..16), 1..8),
         nthreads in 8usize..33,
     ) {
-        // 8–32 threads racing to construct the same DAG all observe one
-        // LineageId, and resolving it yields a structurally equal item.
-        let ids: Vec<_> = std::thread::scope(|s| {
+        // 8–32 threads racing to construct the same DAG all get the same
+        // node, and resolving its id yields that node.
+        let nodes: Vec<LItem> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..nthreads)
-                .map(|_| s.spawn(|| build_dag(&recipe).lid))
+                .map(|_| s.spawn(|| build_dag(&recipe)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
-        let first = ids[0];
-        prop_assert!(ids.iter().all(|&id| id == first), "threads must agree on the id");
-        let canonical = memphis_core::resolve(first);
-        prop_assert!(lineage_eq(&canonical, &build_dag(&recipe)));
+        let first = &nodes[0];
+        prop_assert!(
+            nodes.iter().all(|n| std::sync::Arc::ptr_eq(n, first)),
+            "threads must agree on the node"
+        );
+        prop_assert!(std::sync::Arc::ptr_eq(&memphis_core::resolve(first.lid), first));
     }
 }
 
@@ -113,10 +115,10 @@ proptest! {
             .map(|i| LineageItem::new("op", vec![i.to_string()], vec![]))
             .collect();
         for (item, &v) in items.iter().zip(&vals) {
-            cache.put(item, CachedObject::Scalar(v), 1.0, 16, 1);
+            cache.put(item, CachedObject::Scalar(v), Admit::new(1.0, 16));
         }
         for (item, &v) in items.iter().zip(&vals) {
-            match cache.probe(item).expect("hit").object {
+            match cache.probe(item).expect("hit") {
                 CachedObject::Scalar(got) => prop_assert_eq!(got, v),
                 other => prop_assert!(false, "unexpected {:?}", other),
             }
@@ -131,7 +133,7 @@ proptest! {
         for (i, s) in sizes.iter().enumerate() {
             let m = Matrix::zeros(*s, 8); // s*64 bytes
             let item = LineageItem::new("op", vec![i.to_string()], vec![]);
-            cache.put(&item, CachedObject::Matrix(std::sync::Arc::new(m)), 1.0, s * 64, 1);
+            cache.put(&item, CachedObject::Matrix(std::sync::Arc::new(m)), Admit::new(1.0, s * 64));
             prop_assert!(cache.local_used() <= 16 << 10);
         }
     }
