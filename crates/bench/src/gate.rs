@@ -130,6 +130,8 @@ mod tests {
             "entries_rehydrated",
             "checksum_rejects",
             "manifest_swaps",
+            "spill_sync_points",
+            "spill_spills",
         ]);
     }
 

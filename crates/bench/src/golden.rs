@@ -626,12 +626,19 @@ pub struct RecoveryGateOutcome {
     pub checksum_rejects: u64,
     /// Atomic manifest swaps performed by compaction.
     pub manifest_swaps: u64,
+    /// Sync points of the spill phase: two per eviction pass that spills.
+    pub spill_sync_points: u64,
+    /// Proven entries the spill phase's eviction passes spilled to disk.
+    pub spill_spills: u64,
 }
 
 /// Runs the recovery gate: commit a seeded-corruption record stream to a
 /// persistent disk tier, tombstone a prefix, compact (atomic manifest
 /// swap), then restart a fresh cache over the same directory and report
-/// its recovery counters.
+/// its recovery counters. A spill phase then runs two warm hcv sessions
+/// over a fresh persistent tier with a 4 KiB local budget (the hcv
+/// configuration of the kill-at-every-sync sweep) and reports its sync
+/// points and spills, which pin the group commit of eviction passes.
 pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
     use memphis_core::cache::backends::DiskBackend;
     use memphis_core::cache::config::CacheConfig;
@@ -639,6 +646,7 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
     use memphis_core::BackendId;
     use memphis_core::LineageItem;
     use memphis_sparksim::FaultPlan;
+    use memphis_workloads::pipelines;
 
     let dir = std::env::temp_dir().join(format!(
         "memphis_recovery_gate_{}_{}",
@@ -666,7 +674,7 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
             .expect("disk tier");
         for (i, item) in items.iter().enumerate() {
             let m = payload(i);
-            disk.store(&m, item.lid, 10.0 + i as f64, 1 + (i % 3) as u64);
+            disk.store([(&m, item.lid, 10.0 + i as f64, 1 + (i % 3) as u64)]);
         }
         for (i, item) in items.iter().take(p.dels).enumerate() {
             disk.discard(item.lid.content_hash(), payload(i).size_bytes());
@@ -687,12 +695,37 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
     drop(cache);
     let _ = std::fs::remove_dir_all(&dir);
 
+    // Phase 3: spills under real eviction pressure.
+    let (spill_sync_points, spill_spills) = {
+        let mut cfg = CacheConfig::test();
+        cfg.persist_dir = Some(dir.clone());
+        cfg.local_budget = 4 << 10;
+        cfg.disk_faults = FaultPlan::seeded(p.seed);
+        let cache = Arc::new(LineageCache::new(cfg));
+        for _ in 0..2 {
+            let mut ctx = pipelines::session_context(&cache);
+            pipelines::hcv::run(&mut ctx, &pipelines::hcv::HcvParams::small())
+                .expect("hcv session");
+        }
+        let disk = cache
+            .registry()
+            .downcast::<DiskBackend>(BackendId::Disk)
+            .expect("disk tier");
+        (
+            disk.segment_store().sync_points(),
+            cache.stats().local_spills,
+        )
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+
     RecoveryGateOutcome {
         segments_recovered: s.segments_recovered,
         entries_recovered: s.entries_recovered,
         entries_rehydrated: s.entries_rehydrated,
         checksum_rejects: phase1_rejects + s.checksum_rejects,
         manifest_swaps,
+        spill_sync_points,
+        spill_spills,
     }
 }
 

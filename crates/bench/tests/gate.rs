@@ -118,6 +118,8 @@ fn gate_table() -> Vec<(&'static str, u64)> {
         ("entries_rehydrated", r.entries_rehydrated),
         ("checksum_rejects", r.checksum_rejects),
         ("manifest_swaps", r.manifest_swaps),
+        ("spill_sync_points", r.spill_sync_points),
+        ("spill_spills", r.spill_spills),
         ("remote_hits", cs.remote_hits),
         ("remote_misses", cs.remote_misses),
         ("transfer_bytes", cs.transfer_bytes),

@@ -915,11 +915,13 @@ impl ClusterCache {
         }
     }
 
-    /// Coherence audit for tests: counts replica records without a
-    /// backing copy, records hosted on non-members, copies with a dead
-    /// primary, and resident entries no metadata accounts for. A
-    /// healthy cluster (where every admission went through the cluster
-    /// API) reports zero.
+    /// Coherence audit for tests: counts replica records hosted on
+    /// non-members, copies with a dead primary, and resident entries no
+    /// metadata accounts for. A healthy cluster (where every admission
+    /// went through the cluster API) reports zero. A record whose node
+    /// evicted the copy under its own budget is stale, not orphaned:
+    /// like a directory record of an evicted primary, the next probe
+    /// that finds the copy gone drops it (`prune_replica`).
     pub fn orphaned_replicas(&self) -> usize {
         let m = self.meta.lock();
         let staged: HashSet<LineageId> = m
@@ -934,16 +936,7 @@ impl ClusterCache {
                 orphans += reps.len();
                 continue;
             }
-            for r in reps {
-                match m.nodes.get(r) {
-                    None => orphans += 1,
-                    Some(c) => {
-                        if c.peek(*key).is_none() {
-                            orphans += 1;
-                        }
-                    }
-                }
-            }
+            orphans += reps.iter().filter(|r| !m.nodes.contains_key(r)).count();
         }
         for (n, cache) in &m.nodes {
             for e in cache.export_resident() {

@@ -177,4 +177,53 @@ mod tests {
         assert!(cluster.probe_from(owner, &item(7)).is_none());
         assert_eq!(cluster.orphaned_replicas(), 0);
     }
+
+    #[test]
+    fn a_replica_copy_evicted_by_its_node_is_not_an_orphan() {
+        // Room for two 512-byte payloads per node.
+        let mut cfg = ClusterConfig::test();
+        cfg.node_budget = 1024;
+        cfg.hot_k = 1;
+        let cluster = ClusterCache::new(cfg, &[0, 1]);
+        let owner = cluster.owner_of_item(&item(7));
+        let host = 1 - owner;
+        complete(&cluster, owner, 7);
+        for _ in 0..5 {
+            cluster.probe_from(owner, &item(7)).expect("hit");
+        }
+        cluster.rebalance_epoch();
+        assert_eq!(cluster.replica_count(&item(7)), 1, "hot item replicated");
+        let host_cache = cluster.node_cache(host).unwrap();
+        assert!(host_cache.peek(item(7).lid).is_some());
+
+        // The host's own, costlier primaries evict the replica copy
+        // under its budget.
+        for i in (100..)
+            .filter(|&i| cluster.owner_of_item(&item(i)) == host)
+            .take(2)
+        {
+            let ClusterProbed::Compute(g) = cluster.probe_or_begin_from(host, &item(i)) else {
+                panic!("item {i} unexpectedly cached");
+            };
+            assert!(cluster.complete_from(g, payload(i), 500.0, 512));
+        }
+        assert!(host_cache.peek(item(7).lid).is_none(), "copy evicted");
+        let before = cluster.stats();
+        assert_eq!(cluster.replica_count(&item(7)), 1, "the record is stale");
+        assert_eq!(
+            cluster.orphaned_replicas(),
+            0,
+            "a stale record is no orphan"
+        );
+
+        // The next probe from the host prunes the record and is served by
+        // the primary.
+        let (_, loc) = cluster.probe_from(host, &item(7)).expect("primary hit");
+        assert_eq!(loc, Locality::Remote(owner));
+        assert_eq!(cluster.replica_count(&item(7)), 0, "pruned");
+        assert_eq!(cluster.orphaned_replicas(), 0);
+        let after = cluster.stats();
+        assert_eq!(after.replica_hits, before.replica_hits);
+        assert_eq!(after.remote_hits, before.remote_hits + 1);
+    }
 }

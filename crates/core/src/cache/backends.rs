@@ -47,6 +47,16 @@ struct TenantLedger {
     quotas: HashMap<u16, usize>,
 }
 
+/// A spill victim of the running eviction pass: already on the disk
+/// tier in the probe map, with `matrix` still attached, until the pass
+/// commits it.
+struct Spill {
+    key: LineageId,
+    matrix: Arc<Matrix>,
+    cost: f64,
+    hits: u64,
+}
+
 /// Driver-local in-memory tier: matrices and scalars against a byte
 /// budget, eq. (1) eviction with spill into the disk tier.
 pub struct LocalBackend {
@@ -114,22 +124,28 @@ impl LocalBackend {
     }
 
     /// Evicts one eq. (1) victim (spill or drop). Returns bytes freed,
-    /// or `None` when no victim remains.
+    /// or `None` when no victim remains. A spill victim joins `spills`,
+    /// which the pass commits when it ends ([`finish_pass`](Self::finish_pass)).
     ///
     /// Tenant quotas fold into the score lexicographically: while any
     /// tenant is over its soft quota, the victim is the lowest-score
     /// entry *of an over-quota tenant*; only when none remain does the
     /// plain eq. (1) pass over all entries run. With no quotas configured
     /// the first pass is skipped entirely and behavior is unchanged.
-    fn evict_one(&self, map: &ShardedEntryMap, skip: Option<LineageId>) -> Option<usize> {
+    fn evict_one(
+        &self,
+        map: &ShardedEntryMap,
+        skip: Option<LineageId>,
+        spills: &mut Vec<Spill>,
+    ) -> Option<usize> {
         let over = self.over_quota();
         if !over.is_empty() {
-            if let Some(freed) = self.evict_one_matching(map, skip, Some(&over)) {
+            if let Some(freed) = self.evict_one_matching(map, skip, Some(&over), spills) {
                 ReuseStats::inc(&self.stats.quota_evictions);
                 return Some(freed);
             }
         }
-        self.evict_one_matching(map, skip, None)
+        self.evict_one_matching(map, skip, None, spills)
     }
 
     /// One eviction restricted (when `tenants` is set) to entries owned
@@ -139,6 +155,7 @@ impl LocalBackend {
         map: &ShardedEntryMap,
         skip: Option<LineageId>,
         tenants: Option<&HashSet<u16>>,
+        spills: &mut Vec<Spill>,
     ) -> Option<usize> {
         loop {
             let victim = map.select_victim(&self.policy, |k, e| {
@@ -175,18 +192,17 @@ impl LocalBackend {
             // disk; unproven entries are dropped — avoiding disk-write
             // storms when a stream of never-reused intermediates thrashes
             // the budget (the robustness concern of §6.2).
-            let spilled = self.spill_enabled
-                && e.hits > 0
-                && self
-                    .spill
-                    .as_ref()
-                    .map(|d| d.store(&m, e.key, e.compute_cost, e.hits))
-                    .unwrap_or(false);
-            if spilled {
-                e.object = Some(CachedObject::Disk(e.key.content_hash()));
+            if self.spill_enabled && e.hits > 0 && self.spill.is_some() {
+                // The victim moves to the disk tier with its matrix still
+                // attached until the pass commits: a concurrent probe is
+                // served from memory, and no scan selects it again.
                 e.backend = BackendId::Disk;
-                ReuseStats::inc(&self.stats.local_spills);
-                memphis_obs::instant_val(memphis_obs::cat::CACHE, "spill", "bytes", msize as u64);
+                spills.push(Spill {
+                    key: e.key,
+                    matrix: m,
+                    cost: e.compute_cost,
+                    hits: e.hits,
+                });
             } else {
                 shard.entries.remove(&victim);
                 ReuseStats::inc(&self.stats.local_drops);
@@ -212,13 +228,14 @@ impl LocalBackend {
         if size > self.budget {
             return false;
         }
+        let mut spills = Vec::new();
         let mut evicting = false;
-        loop {
+        let reserved = loop {
             {
                 let mut used = self.used.lock();
                 if *used + size <= self.budget {
                     *used += size;
-                    return true;
+                    break true;
                 }
             }
             if !evicting {
@@ -230,8 +247,51 @@ impl LocalBackend {
                     size as u64,
                 );
             }
-            if self.evict_one(map, skip).is_none() {
-                return false;
+            if self.evict_one(map, skip, &mut spills).is_none() {
+                break false;
+            }
+        };
+        self.finish_pass(map, spills);
+        reserved
+    }
+
+    /// Ends an eviction pass: commits its spill victims to the disk tier
+    /// in one group commit (one segment fsync, one manifest fsync), then
+    /// points each victim at its durable record — or, when the commit
+    /// fails, drops it as a failed spill is dropped. A victim that left
+    /// the disk tier meanwhile (removed, promoted, re-admitted) has its
+    /// fresh record discarded. A pass without spill victims returns at
+    /// once.
+    fn finish_pass(&self, map: &ShardedEntryMap, spills: Vec<Spill>) {
+        if spills.is_empty() {
+            return;
+        }
+        let Some(disk) = &self.spill else { return };
+        let committed = disk.store(spills.iter().map(|s| (&*s.matrix, s.key, s.cost, s.hits)));
+        for s in spills {
+            let hash = s.key.content_hash();
+            let msize = s.matrix.size_bytes();
+            let mut shard = map.lock_of(s.key);
+            let pending = shard.entries.get_mut(&s.key).filter(|e| {
+                e.backend == BackendId::Disk
+                    && matches!(&e.object, Some(CachedObject::Matrix(m)) if Arc::ptr_eq(m, &s.matrix))
+            });
+            if committed {
+                match pending {
+                    Some(e) => e.object = Some(CachedObject::Disk(hash)),
+                    None => {
+                        drop(shard);
+                        disk.discard(hash, msize);
+                    }
+                }
+                ReuseStats::inc(&self.stats.local_spills);
+                memphis_obs::instant_val(memphis_obs::cat::CACHE, "spill", "bytes", msize as u64);
+            } else {
+                if pending.is_some() {
+                    shard.entries.remove(&s.key);
+                }
+                ReuseStats::inc(&self.stats.local_drops);
+                memphis_obs::instant_val(memphis_obs::cat::CACHE, "drop", "bytes", msize as u64);
             }
         }
     }
@@ -333,13 +393,15 @@ impl CacheBackend for LocalBackend {
         bytes: usize,
         skip: Option<LineageId>,
     ) -> usize {
+        let mut spills = Vec::new();
         let mut freed = 0;
         while freed < bytes {
-            match self.evict_one(map, skip) {
+            match self.evict_one(map, skip, &mut spills) {
                 Some(n) => freed += n,
                 None => break,
             }
         }
+        self.finish_pass(map, spills);
         freed
     }
 
@@ -446,26 +508,37 @@ impl DiskBackend {
         &self.store
     }
 
-    /// Commits a spilled matrix as a durable record carrying its
-    /// serialized lineage, cost, and reuse standing. Returns false on
-    /// I/O failure or injected crash; the caller degrades to a clean
-    /// drop, never a dangling entry.
-    pub fn store(&self, m: &Matrix, key: LineageId, compute_cost: f64, hits: u64) -> bool {
-        let item = lineage::resolve(key);
-        let rec = DurableRecord {
-            content_hash: key.content_hash(),
-            compute_cost,
-            hits,
-            height: item.height,
-            lineage_log: lineage::serialize(&item),
-            matrix_bytes: mio::to_bytes(m).to_vec(),
-        };
-        if self.store.put(&rec) {
-            *self.used.lock() += m.size_bytes();
-            true
-        } else {
-            false
+    /// Commits `(matrix, key, compute cost, hits)` spill victims as
+    /// durable records carrying their serialized lineage, cost, and
+    /// reuse standing, in one group commit: two sync points however
+    /// many records (a lone store is a batch of one). Returns false,
+    /// committing none of them, on I/O failure or injected crash; the
+    /// caller degrades to a clean drop, never a dangling entry.
+    pub fn store<'a>(
+        &self,
+        victims: impl IntoIterator<Item = (&'a Matrix, LineageId, f64, u64)>,
+    ) -> bool {
+        let mut bytes = 0;
+        let records: Vec<DurableRecord> = victims
+            .into_iter()
+            .map(|(m, key, compute_cost, hits)| {
+                bytes += m.size_bytes();
+                let item = lineage::resolve(key);
+                DurableRecord {
+                    content_hash: key.content_hash(),
+                    compute_cost,
+                    hits,
+                    height: item.height,
+                    lineage_log: lineage::serialize(&item),
+                    matrix_bytes: mio::to_bytes(m).to_vec(),
+                }
+            })
+            .collect();
+        let committed = self.store.commit(&records);
+        if committed {
+            *self.used.lock() += bytes;
         }
+        committed
     }
 
     /// Reads a committed record's matrix without hit accounting
@@ -523,10 +596,11 @@ impl CacheBackend for DiskBackend {
             };
             match &e.object {
                 Some(CachedObject::Disk(hash)) => (*hash, e.size),
-                // A concurrent probe promoted the entry to the local tier
-                // after our caller saw it on this tier. The promotion is
-                // the hit; reporting Stale would drop the promoted entry
-                // and recompute a durable result.
+                // A spill victim whose eviction pass has not committed
+                // yet, or an entry a concurrent probe promoted to the
+                // local tier after our caller saw it on this tier: the
+                // attached matrix is the hit. Reporting Stale would drop
+                // the entry and recompute a durable result.
                 Some(CachedObject::Matrix(m)) => {
                     ReuseStats::inc(&self.stats.hits_disk);
                     return Materialized::Hit(CachedObject::Matrix(m.clone()));
@@ -659,10 +733,13 @@ impl CacheBackend for DiskBackend {
 
 impl Drop for DiskBackend {
     fn drop(&mut self) {
-        if !self.persistent {
+        if self.persistent {
+            // Persistent stores outlive the process by design: a clean
+            // close makes the buffered tombstones durable.
+            self.store.close();
+        } else {
             // The spill directory is cache-unique (see
-            // `LineageCache::new`): safe to remove. Persistent stores
-            // outlive the process by design.
+            // `LineageCache::new`): safe to remove.
             std::fs::remove_dir_all(self.store.dir()).ok();
         }
     }
@@ -1012,5 +1089,83 @@ impl CacheBackend for GpuTier {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lineage::LineageItem;
+    use memphis_matrix::rand_gen::rand_uniform;
+    use memphis_sparksim::FaultPlan;
+
+    /// A local tier spilling into a fresh disk tier, plus a probe map
+    /// holding `names` as spill victims mid-pass: flipped to the disk
+    /// tier with their matrices attached.
+    fn pass_of(
+        names: &[&str],
+        faults: FaultPlan,
+    ) -> (LocalBackend, Arc<DiskBackend>, ShardedEntryMap, Vec<Spill>) {
+        let mut cfg = CacheConfig::test();
+        cfg.spill_dir = std::env::temp_dir().join(format!(
+            "memphis_finish_pass_{}_{}",
+            names.join("_"),
+            std::process::id()
+        ));
+        cfg.disk_faults = faults;
+        let stats = Arc::new(ReuseStats::default());
+        let disk = Arc::new(DiskBackend::new(&cfg, stats.clone()));
+        let local = LocalBackend::new(&cfg, stats, Some(disk.clone()));
+        let map = ShardedEntryMap::new(4);
+        let mut spills = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let item = LineageItem::leaf(name);
+            let m = Arc::new(rand_uniform(8, 8, 0.0, 1.0, i as u64));
+            let mut e =
+                CacheEntry::cached(&item, CachedObject::Matrix(m.clone()), 1.0, m.size_bytes());
+            e.backend = BackendId::Disk;
+            map.lock_of(item.lid).entries.insert(item.lid, e);
+            spills.push(Spill {
+                key: item.lid,
+                matrix: m,
+                cost: 1.0,
+                hits: 1,
+            });
+        }
+        (local, disk, map, spills)
+    }
+
+    #[test]
+    fn a_victim_that_left_before_its_pass_committed_leaves_no_record() {
+        let (local, disk, map, spills) = pass_of(&["pass/kept", "pass/gone"], FaultPlan::none());
+        let (kept, gone) = (spills[0].key, spills[1].key);
+        let size = spills[0].matrix.size_bytes();
+        map.remove_entry(gone);
+        let syncs = disk.segment_store().sync_points();
+        local.finish_pass(&map, spills);
+        assert_eq!(disk.segment_store().sync_points(), syncs + 2, "one commit");
+        let object = map.with_entry(kept, |e| e.and_then(|e| e.object.clone()));
+        assert!(matches!(object, Some(CachedObject::Disk(h)) if h == kept.content_hash()));
+        assert!(disk.segment_store().contains(kept.content_hash()));
+        assert!(!disk.segment_store().contains(gone.content_hash()));
+        assert_eq!(disk.used(), size, "only the kept victim is accounted");
+        assert_eq!(local.stats.snapshot().local_spills, 2);
+    }
+
+    #[test]
+    fn a_failed_pass_commit_drops_its_victims() {
+        let (local, disk, map, spills) = pass_of(
+            &["pass/fail_a", "pass/fail_b"],
+            FaultPlan::seeded(5).with_disk_kill_at_sync(1),
+        );
+        let keys: Vec<LineageId> = spills.iter().map(|s| s.key).collect();
+        local.finish_pass(&map, spills);
+        for key in keys {
+            assert!(map.with_entry(key, |e| e.is_none()), "victim dropped");
+            assert!(!disk.segment_store().contains(key.content_hash()));
+        }
+        assert_eq!(disk.used(), 0);
+        let s = local.stats.snapshot();
+        assert_eq!((s.local_spills, s.local_drops), (0, 2));
     }
 }

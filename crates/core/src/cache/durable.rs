@@ -21,15 +21,29 @@
 //!   crash at any point leaves either the old or the new manifest intact,
 //!   never a mix.
 //!
-//! **Write/commit protocol** for one `put`: append the record to the
-//! active segment → fsync segment → append the manifest line → fsync
-//! manifest. Each fsync (and each compaction rename) is one numbered
-//! *sync point*; the seeded [`FaultPlan`] can tear the record write,
-//! silently corrupt the payload, drop an fsync (lying disk), or kill the
-//! store at exactly the Nth sync point — the harness the crash-recovery
-//! suite sweeps. After any injected crash the store goes dead: every
-//! later operation is a no-op, modeling a dead process until the next
-//! [`SegmentStore::open`] over the directory.
+//! **Write/commit protocol.** Every write is a group commit of a batch
+//! of records ([`SegmentStore::commit`]): append the whole batch to the
+//! active segment → fsync the segment once → append the buffered `del`
+//! lines, then the batch's `put` lines, to the manifest in one write →
+//! fsync the manifest once. The disk tier commits every spill victim of
+//! one eviction pass as one batch, so a pass costs two sync points
+//! however many records it spills; a lone store is a batch of one. Both
+//! files stay open between commits. [`SegmentStore::remove`] costs no
+//! sync point: its `del` line waits in memory and becomes durable with
+//! the next commit, compaction or [`SegmentStore::close`]. Losing it in
+//! a crash can only bring back a record whose value is still correct for
+//! its content hash — the argument that already lets a rejected read
+//! fall back to recompute. Dels precede puts in a commit, so re-spilling
+//! a hash whose tombstone is still buffered survives recovery. Each
+//! fsync (and each compaction rename) is one numbered *sync point*; the
+//! seeded [`FaultPlan`] can tear a record write, silently corrupt a
+//! payload, drop an fsync (lying disk), or kill the store at exactly the
+//! Nth sync point — the harness the crash-recovery suite sweeps. After
+//! any injected crash the store goes dead: every later operation is a
+//! no-op, modeling a dead process until the next [`SegmentStore::open`]
+//! over the directory. The committed digest ([`SegmentStore::durable_digest`])
+//! is a multiset hash of the committed `(hash, len)` set, updated in
+//! O(1) per put and del.
 //!
 //! **Recovery** folds the manifest (tolerating a torn tail), reads every
 //! referenced record, verifies magic/CRC/identity, and returns metadata
@@ -41,10 +55,10 @@
 //! removed.
 
 use crate::stats::ReuseStats;
-use memphis_matrix::hash::{FNV_OFFSET, FNV_PRIME};
+use memphis_matrix::hash::mix;
 use memphis_sparksim::FaultPlan;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -135,8 +149,17 @@ pub struct RecoveredMeta {
 
 /// Encodes a record into its on-disk byte form.
 pub fn encode_record(rec: &DurableRecord) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(rec, &mut buf);
+    buf
+}
+
+/// Encodes a record into `buf`, replacing its contents (a commit reuses
+/// one buffer for its whole batch).
+fn encode_into(rec: &DurableRecord, buf: &mut Vec<u8>) {
     let lineage = rec.lineage_log.as_bytes();
-    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + lineage.len() + rec.matrix_bytes.len());
+    buf.clear();
+    buf.reserve(encoded_len(rec) as usize);
     buf.extend_from_slice(&RECORD_MAGIC);
     buf.extend_from_slice(&rec.content_hash.to_le_bytes());
     buf.extend_from_slice(&rec.compute_cost.to_bits().to_le_bytes());
@@ -147,9 +170,13 @@ pub fn encode_record(rec: &DurableRecord) -> Vec<u8> {
     buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
     buf.extend_from_slice(lineage);
     buf.extend_from_slice(&rec.matrix_bytes);
-    let crc = record_crc(&buf);
+    let crc = record_crc(buf);
     buf[40..44].copy_from_slice(&crc.to_le_bytes());
-    buf
+}
+
+/// A record's on-disk length.
+fn encoded_len(rec: &DurableRecord) -> u64 {
+    (RECORD_HEADER_LEN + rec.lineage_log.len() + rec.matrix_bytes.len()) as u64
 }
 
 /// CRC over the header fields after the magic plus both payloads (the
@@ -221,13 +248,21 @@ struct RecordLoc {
 
 struct Inner {
     index: HashMap<u64, RecordLoc>,
-    /// Segment the next record appends to.
+    /// Segment the next batch appends to, and its append handle once
+    /// opened.
     active_segment: u64,
     active_len: u64,
+    segment: Option<File>,
     next_segment: u64,
+    /// Committed manifest length, and its append handle once opened.
     manifest_len: u64,
+    manifest: Option<File>,
     live_bytes: u64,
     dead_bytes: u64,
+    /// Removed entries whose `del` lines wait for the next commit,
+    /// compaction or close, as `(hash, record len)`. Their records are
+    /// still committed, so they still count in `committed_digest`.
+    pending_dels: Vec<(u64, u64)>,
     /// Monotone record-write sequence (torn/corrupt decisions).
     write_seq: u64,
     /// Monotone sync-point sequence (fsyncs + manifest renames).
@@ -235,8 +270,9 @@ struct Inner {
     /// Set once an injected crash fires; every later op is a no-op.
     crashed: bool,
     /// Committed-state digest after each successful sync point (the
-    /// kill-sweep differential baseline).
-    sync_digests: Vec<u64>,
+    /// kill-sweep differential baseline), once opted into.
+    sync_digests: Option<Vec<u64>>,
+    /// Multiset digest of the committed `(hash, len)` set.
     committed_digest: u64,
 }
 
@@ -253,24 +289,36 @@ pub struct SegmentStore {
 
 /// Digest of an empty store (recovered state with no committed entries).
 pub fn empty_digest() -> u64 {
-    digest_of(&HashMap::new())
+    digest_of([])
 }
 
-/// Order-independent FNV digest over the committed (hash, len) set.
-fn digest_of(index: &HashMap<u64, RecordLoc>) -> u64 {
-    let sorted: BTreeMap<u64, u64> = index.iter().map(|(h, l)| (*h, l.len)).collect();
-    let mut d = FNV_OFFSET;
-    for (h, len) in sorted {
-        for b in h.to_le_bytes().into_iter().chain(len.to_le_bytes()) {
-            d ^= b as u64;
-            d = d.wrapping_mul(FNV_PRIME);
-        }
-    }
-    d
+/// One committed record's share of the digest.
+fn digest_term(hash: u64, len: u64) -> u64 {
+    mix(mix(hash) ^ len)
+}
+
+/// Order-independent multiset digest of a committed `(hash, len)` set:
+/// the wrapping sum of per-record terms, so a put adds one term and a
+/// del subtracts one.
+fn digest_of(set: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    set.into_iter()
+        .fold(0, |d, (hash, len)| d.wrapping_add(digest_term(hash, len)))
 }
 
 fn segment_path(dir: &Path, seg: u64) -> PathBuf {
     dir.join(format!("seg_{seg}.log"))
+}
+
+/// Takes the append handle out of `slot`, opening `path` (creating the
+/// store directory) when none is open yet. Callers put it back.
+fn take_append(slot: &mut Option<File>, dir: &Path, path: PathBuf) -> std::io::Result<File> {
+    match slot.take() {
+        Some(f) => Ok(f),
+        None => {
+            fs::create_dir_all(dir)?;
+            OpenOptions::new().create(true).append(true).open(path)
+        }
+    }
 }
 
 impl SegmentStore {
@@ -285,7 +333,7 @@ impl SegmentStore {
     ) -> (Self, Vec<RecoveredMeta>) {
         let (index, recovered, rejected, next_segment, manifest_len) = Self::recover(&dir, &stats);
         let live_bytes = index.values().map(|l| l.len).sum();
-        let committed_digest = digest_of(&index);
+        let committed_digest = digest_of(index.iter().map(|(h, l)| (*h, l.len)));
         let store = Self {
             dir,
             segment_max: segment_max.max(1),
@@ -296,21 +344,27 @@ impl SegmentStore {
                 index,
                 active_segment: next_segment,
                 active_len: 0,
+                segment: None,
                 next_segment: next_segment + 1,
                 manifest_len,
+                manifest: None,
                 live_bytes,
                 dead_bytes: 0,
+                pending_dels: Vec::new(),
                 write_seq: 0,
                 sync_seq: 0,
                 crashed: false,
-                sync_digests: Vec::new(),
+                sync_digests: None,
                 committed_digest,
             }),
         };
         // Tombstone rejected records so later recoveries skip (and stop
         // re-counting) them. Best-effort: a failure only re-rejects.
-        for hash in rejected {
-            store.append_manifest_line_unsynced(&format!("del {hash}\n"));
+        {
+            let mut inner = store.inner.lock();
+            for hash in rejected {
+                store.append_manifest_line_raw(&mut inner, &format!("del {hash}\n"));
+            }
         }
         (store, recovered)
     }
@@ -470,108 +524,164 @@ impl SegmentStore {
         self.inner.lock().sync_seq
     }
 
-    /// Committed-state digest after each successful sync point, in order.
-    pub fn sync_digests(&self) -> Vec<u64> {
-        self.inner.lock().sync_digests.clone()
+    /// Starts recording the committed digest after every sync point (see
+    /// [`sync_digests`](Self::sync_digests)). Off by default: the record
+    /// grows by one `u64` per sync point for the life of the store, and
+    /// only the kill-at-every-sync sweep reads it.
+    pub fn record_sync_digests(&self) {
+        self.inner.lock().sync_digests.get_or_insert_with(Vec::new);
     }
 
-    /// Digest of the currently committed (hash, len) set.
+    /// Committed-state digest after each successful sync point since
+    /// [`record_sync_digests`](Self::record_sync_digests), in order;
+    /// empty when the store never opted in.
+    pub fn sync_digests(&self) -> Vec<u64> {
+        self.inner.lock().sync_digests.clone().unwrap_or_default()
+    }
+
+    /// Digest of the committed (hash, len) set: what a recovery over the
+    /// store's files would hold, barring corruption found on the way.
     pub fn durable_digest(&self) -> u64 {
         self.inner.lock().committed_digest
     }
 
-    /// Commits one record: segment append + fsync, manifest append +
-    /// fsync. Returns false on I/O failure or injected crash — the
-    /// caller degrades to a clean drop.
-    pub fn put(&self, rec: &DurableRecord) -> bool {
-        let mut inner = self.inner.lock();
+    /// Group-commits a batch of records: the records are appended to
+    /// the active segment, which is fsynced once, then the buffered
+    /// `del` lines and the batch's `put` lines go to the manifest with
+    /// one write and one fsync. Returns false on I/O failure or injected
+    /// crash: nothing of the batch is committed and buffered tombstones
+    /// stay buffered, so the caller degrades to a clean drop. An empty
+    /// batch commits the buffered tombstones alone (no sync point when
+    /// there are none).
+    pub fn commit(&self, records: &[DurableRecord]) -> bool {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if inner.crashed {
             return false;
         }
-        if fs::create_dir_all(&self.dir).is_err() {
-            ReuseStats::inc(&self.stats.disk_io_errors);
-            return false;
-        }
-        let mut bytes = encode_record(rec);
-        inner.write_seq += 1;
-        let write_seq = inner.write_seq;
-        if self.faults.should_tear_disk_write(write_seq) {
-            // Torn write: a prefix lands on disk, then the process dies.
-            let prefix = bytes.len() / 2;
-            let seg = segment_path(&self.dir, inner.active_segment);
-            if let Ok(mut f) = OpenOptions::new().create(true).append(true).open(seg) {
-                f.write_all(&bytes[..prefix]).ok();
-            }
-            inner.crashed = true;
-            return false;
-        }
-        if self.faults.should_corrupt_disk_record(write_seq) {
-            // Silent corruption: acknowledged normally, caught by CRC.
-            let flip = RECORD_HEADER_LEN + (write_seq as usize % rec.lineage_log.len().max(1));
-            if flip < bytes.len() {
-                bytes[flip] ^= 0x40;
-            }
+        if records.is_empty() && inner.pending_dels.is_empty() {
+            return true;
         }
 
-        // Roll the active segment when full.
-        if inner.active_len > 0 && inner.active_len + bytes.len() as u64 > self.segment_max {
-            inner.active_segment = inner.next_segment;
-            inner.next_segment += 1;
-            inner.active_len = 0;
-        }
-        let loc = RecordLoc {
-            segment: inner.active_segment,
-            offset: inner.active_len,
-            len: bytes.len() as u64,
-        };
-        let seg_path = segment_path(&self.dir, loc.segment);
-        let pre_len = inner.active_len;
-        let appended = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&seg_path)
-            .and_then(|mut f| {
-                f.write_all(&bytes)?;
-                Ok(f)
-            });
-        let file = match appended {
-            Ok(f) => f,
-            Err(_) => {
-                // The segment may hold a partial tail now; retire it so
-                // later offsets stay truthful.
+        // One segment append + fsync, one record write at a time through
+        // a reused buffer. Roll first when the batch would overflow the
+        // active segment: a batch never spans two segments.
+        let mut spans: Vec<(u64, u64, u64)> = Vec::with_capacity(records.len()); // hash, offset, len
+        if !records.is_empty() {
+            let batch_len: u64 = records.iter().map(encoded_len).sum();
+            if inner.active_len > 0 && inner.active_len + batch_len > self.segment_max {
+                Self::retire_segment(inner);
+            }
+            let pre_len = inner.active_len;
+            let path = segment_path(&self.dir, inner.active_segment);
+            let Ok(mut file) = take_append(&mut inner.segment, &self.dir, path) else {
                 ReuseStats::inc(&self.stats.disk_io_errors);
-                inner.active_segment = inner.next_segment;
-                inner.next_segment += 1;
-                inner.active_len = 0;
+                return false;
+            };
+            let mut buf = Vec::new();
+            let mut offset = pre_len;
+            for rec in records {
+                encode_into(rec, &mut buf);
+                inner.write_seq += 1;
+                let write_seq = inner.write_seq;
+                if self.faults.should_tear_disk_write(write_seq) {
+                    // Torn write: half of this record lands on disk after
+                    // the batch's earlier ones, then the process dies.
+                    file.write_all(&buf[..buf.len() / 2]).ok();
+                    inner.crashed = true;
+                    return false;
+                }
+                if self.faults.should_corrupt_disk_record(write_seq) {
+                    // Silent corruption: acknowledged normally, caught by CRC.
+                    let flip =
+                        RECORD_HEADER_LEN + (write_seq as usize % rec.lineage_log.len().max(1));
+                    if flip < buf.len() {
+                        buf[flip] ^= 0x40;
+                    }
+                }
+                if file.write_all(&buf).is_err() {
+                    // The segment may hold a partial tail now; retire it
+                    // so later offsets stay truthful.
+                    ReuseStats::inc(&self.stats.disk_io_errors);
+                    Self::retire_segment(inner);
+                    return false;
+                }
+                spans.push((rec.content_hash, offset, buf.len() as u64));
+                offset += buf.len() as u64;
+            }
+            if !self.sync_point(inner, &file, pre_len) {
+                Self::retire_segment(inner);
                 return false;
             }
-        };
-        if !self.sync_file(&mut inner, file, &seg_path, pre_len) {
-            return false;
+            inner.segment = Some(file);
+            inner.active_len = offset;
         }
-        inner.active_len += bytes.len() as u64;
 
-        // Commit: the manifest line is the durability point.
-        let line = format!(
-            "put {} {} {} {}\n",
-            rec.content_hash, loc.segment, loc.offset, loc.len
-        );
-        if !self.append_manifest_synced(&mut inner, &line) {
+        // One manifest append + fsync: the durability point. Dels first,
+        // so a batch re-putting a buffered tombstone's hash keeps it.
+        let mut payload = String::new();
+        if inner.manifest_len == 0 {
+            payload.push_str(MANIFEST_HEADER);
+            payload.push('\n');
+        }
+        for (hash, _) in &inner.pending_dels {
+            payload.push_str(&format!("del {hash}\n"));
+        }
+        for (hash, offset, len) in &spans {
+            payload.push_str(&format!(
+                "put {hash} {} {offset} {len}\n",
+                inner.active_segment
+            ));
+        }
+        let pre_len = inner.manifest_len;
+        let path = self.dir.join(MANIFEST_FILE);
+        let appended = take_append(&mut inner.manifest, &self.dir, path).and_then(|mut f| {
+            if let Err(e) = f.write_all(payload.as_bytes()) {
+                // Cut a partial line so later appends never concatenate
+                // onto a torn one.
+                f.set_len(pre_len).ok();
+                return Err(e);
+            }
+            Ok(f)
+        });
+        let Ok(file) = appended else {
+            ReuseStats::inc(&self.stats.disk_io_errors);
+            return false;
+        };
+        let synced = self.sync_point(inner, &file, pre_len);
+        inner.manifest = Some(file);
+        if !synced {
             return false;
         }
-        if let Some(old) = inner.index.insert(rec.content_hash, loc) {
-            inner.dead_bytes += old.len;
-            inner.live_bytes = inner.live_bytes.saturating_sub(old.len);
+        inner.manifest_len += payload.len() as u64;
+
+        // Committed: fold the tombstones and the batch into the index
+        // and the digest.
+        let mut digest = inner.committed_digest;
+        for (hash, len) in inner.pending_dels.drain(..) {
+            digest = digest.wrapping_sub(digest_term(hash, len));
         }
-        inner.live_bytes += loc.len;
-        let committed = digest_of(&inner.index);
-        inner.committed_digest = committed;
+        for &(hash, offset, len) in &spans {
+            let loc = RecordLoc {
+                segment: inner.active_segment,
+                offset,
+                len,
+            };
+            if let Some(old) = inner.index.insert(hash, loc) {
+                inner.dead_bytes += old.len;
+                inner.live_bytes = inner.live_bytes.saturating_sub(old.len);
+                digest = digest.wrapping_sub(digest_term(hash, old.len));
+            }
+            inner.live_bytes += len;
+            digest = digest.wrapping_add(digest_term(hash, len));
+        }
+        inner.committed_digest = digest;
         // The commit digest belongs to the manifest sync that just
         // succeeded: rewrite the last recorded point.
-        if let Some(last) = inner.sync_digests.last_mut() {
-            *last = committed;
+        if let Some(last) = inner.sync_digests.as_mut().and_then(|d| d.last_mut()) {
+            *last = digest;
         }
-        self.maybe_compact(&mut inner);
+        self.maybe_compact(inner);
         true
     }
 
@@ -588,6 +698,12 @@ impl SegmentStore {
                 inner.index.remove(&hash);
                 inner.live_bytes = inner.live_bytes.saturating_sub(loc.len);
                 inner.dead_bytes += loc.len;
+                // Recovery rejects the record whether or not its `del`
+                // line is durable, so it leaves the digest now and the
+                // line is best-effort.
+                inner.committed_digest = inner
+                    .committed_digest
+                    .wrapping_sub(digest_term(hash, loc.len));
                 if !inner.crashed {
                     self.append_manifest_line_raw(&mut inner, &format!("del {hash}\n"));
                 }
@@ -596,25 +712,27 @@ impl SegmentStore {
         }
     }
 
-    /// Tombstones one entry (fsynced: a committed delete). Returns the
-    /// freed record length, or `None` when absent.
+    /// Removes one entry and buffers its `del` line for the next commit,
+    /// compaction or [`close`](Self::close): no sync point of its own.
+    /// Returns the freed record length, or `None` when absent.
     pub fn remove(&self, hash: u64) -> Option<u64> {
         let mut inner = self.inner.lock();
         let loc = inner.index.remove(&hash)?;
         inner.live_bytes = inner.live_bytes.saturating_sub(loc.len);
         inner.dead_bytes += loc.len;
         if !inner.crashed {
-            let line = format!("del {hash}\n");
-            if self.append_manifest_synced(&mut inner, &line) {
-                let committed = digest_of(&inner.index);
-                inner.committed_digest = committed;
-                if let Some(last) = inner.sync_digests.last_mut() {
-                    *last = committed;
-                }
-            }
+            inner.pending_dels.push((hash, loc.len));
             self.maybe_compact(&mut inner);
         }
         Some(loc.len)
+    }
+
+    /// Clean close: commits the buffered tombstones (one manifest fsync,
+    /// none when nothing is buffered). A store dropped without `close`
+    /// behaves like a killed process — the records its buffered
+    /// tombstones removed come back on recovery.
+    pub fn close(&self) {
+        self.commit(&[]);
     }
 
     /// Forces a compaction pass (tests); returns true when a manifest
@@ -626,80 +744,52 @@ impl SegmentStore {
 
     // ---- internals -----------------------------------------------------
 
-    /// One sync point over an open file: injected kill/partial-fsync
-    /// truncates the file back to `pre_len` and deadens the store;
-    /// otherwise `sync_all` runs for real.
-    fn sync_file(&self, inner: &mut Inner, file: File, path: &Path, pre_len: u64) -> bool {
+    /// Retires the active segment (full, or holding an uncommitted
+    /// tail): the next write starts a fresh one.
+    fn retire_segment(inner: &mut Inner) {
+        inner.segment = None;
+        inner.active_segment = inner.next_segment;
+        inner.next_segment += 1;
+        inner.active_len = 0;
+    }
+
+    /// One sync point over `file`, which grew from `pre_len`: an injected
+    /// kill (or dropped fsync) truncates it back to `pre_len` and deadens
+    /// the store, a failed fsync truncates it back and counts an I/O
+    /// error; otherwise `sync_all` made the bytes durable.
+    fn sync_point(&self, inner: &mut Inner, file: &File, pre_len: u64) -> bool {
         inner.sync_seq += 1;
         let seq = inner.sync_seq;
         if self.faults.should_kill_at_sync(seq) || self.faults.should_drop_fsync(seq) {
-            drop(file);
-            truncate_to(path, pre_len);
+            file.set_len(pre_len).ok();
             inner.crashed = true;
             return false;
         }
         if file.sync_all().is_err() {
             ReuseStats::inc(&self.stats.disk_io_errors);
+            file.set_len(pre_len).ok();
             return false;
         }
         let digest = inner.committed_digest;
-        inner.sync_digests.push(digest);
-        true
-    }
-
-    /// Appends one manifest line and fsyncs it (one sync point). Creates
-    /// the manifest (with header) on first use.
-    fn append_manifest_synced(&self, inner: &mut Inner, line: &str) -> bool {
-        let path = self.dir.join(MANIFEST_FILE);
-        let fresh = inner.manifest_len == 0 && !path.exists();
-        let payload = if fresh {
-            format!("{MANIFEST_HEADER}\n{line}")
-        } else {
-            line.to_string()
-        };
-        let pre_len = if fresh { 0 } else { inner.manifest_len };
-        let appended = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| {
-                f.write_all(payload.as_bytes())?;
-                Ok(f)
-            });
-        let file = match appended {
-            Ok(f) => f,
-            Err(_) => {
-                ReuseStats::inc(&self.stats.disk_io_errors);
-                return false;
-            }
-        };
-        if !self.sync_file(inner, file, &path, pre_len) {
-            return false;
+        if let Some(d) = &mut inner.sync_digests {
+            d.push(digest);
         }
-        inner.manifest_len = pre_len + payload.len() as u64;
         true
     }
 
-    /// Appends a manifest line without fsync (internal rejects: losing
+    /// Appends a manifest line without fsync (rejected records: losing
     /// the line only re-rejects the record on the next recovery).
     fn append_manifest_line_raw(&self, inner: &mut Inner, line: &str) {
-        let path = self.dir.join(MANIFEST_FILE);
-        if inner.manifest_len == 0 && !path.exists() {
+        if inner.manifest_len == 0 {
             return; // nothing committed yet, nothing to tombstone
         }
-        if let Ok(mut f) = OpenOptions::new().append(true).open(&path) {
+        let path = self.dir.join(MANIFEST_FILE);
+        if let Ok(mut f) = take_append(&mut inner.manifest, &self.dir, path) {
             if f.write_all(line.as_bytes()).is_ok() {
                 inner.manifest_len += line.len() as u64;
             }
+            inner.manifest = Some(f);
         }
-    }
-
-    fn append_manifest_line_unsynced(&self, line: &str) {
-        let mut inner = self.inner.lock();
-        if inner.crashed {
-            return;
-        }
-        self.append_manifest_line_raw(&mut inner, line);
     }
 
     fn maybe_compact(&self, inner: &mut Inner) {
@@ -711,14 +801,16 @@ impl SegmentStore {
     }
 
     /// Rewrites live records into fresh segments and atomically swaps the
-    /// manifest. Crash-safe: until the rename lands, recovery sees the
-    /// old manifest and old segments untouched.
+    /// manifest, which also makes every buffered tombstone durable.
+    /// Crash-safe: until the rename lands, recovery sees the old manifest
+    /// and old segments untouched.
     fn compact(&self, inner: &mut Inner) -> bool {
         if inner.crashed {
             return false;
         }
         // Re-verify every live record while copying; rejects fall out of
-        // the compacted generation.
+        // the compacted generation (and, like a rejected read, out of the
+        // digest at once).
         let mut entries: Vec<(u64, RecordLoc)> =
             inner.index.iter().map(|(h, l)| (*h, *l)).collect();
         entries.sort_by_key(|(h, l)| (l.segment, l.offset, *h));
@@ -736,6 +828,9 @@ impl SegmentStore {
                     ReuseStats::inc(&self.stats.checksum_rejects);
                     inner.index.remove(&hash);
                     inner.live_bytes = inner.live_bytes.saturating_sub(loc.len);
+                    inner.committed_digest = inner
+                        .committed_digest
+                        .wrapping_sub(digest_term(hash, loc.len));
                 }
             }
         }
@@ -797,7 +892,7 @@ impl SegmentStore {
             };
             // Each new-generation segment fsync is a numbered sync point;
             // a kill here leaves only unreferenced files behind.
-            if !self.sync_file(inner, file, &path, 0) {
+            if !self.sync_point(inner, &file, 0) {
                 return false;
             }
         }
@@ -813,11 +908,14 @@ impl SegmentStore {
             ));
         }
         let tmp = self.dir.join(MANIFEST_TMP);
-        let staged = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)
+        let staged = fs::create_dir_all(&self.dir)
+            .and_then(|_| {
+                OpenOptions::new()
+                    .create(true)
+                    .write(true)
+                    .truncate(true)
+                    .open(&tmp)
+            })
             .and_then(|mut f| {
                 f.write_all(manifest.as_bytes())?;
                 Ok(f)
@@ -829,7 +927,7 @@ impl SegmentStore {
                 return false;
             }
         };
-        if !self.sync_file(inner, file, &tmp, 0) {
+        if !self.sync_point(inner, &file, 0) {
             return false;
         }
 
@@ -853,20 +951,26 @@ impl SegmentStore {
         }
 
         // Committed: swap in-memory state and drop the old generation.
+        // The open manifest handle points at the replaced file.
         for seg in old_segments {
             if !written_segments.contains(&seg) {
                 fs::remove_file(segment_path(&self.dir, seg)).ok();
             }
         }
+        let mut digest = inner.committed_digest;
+        for (hash, len) in inner.pending_dels.drain(..) {
+            digest = digest.wrapping_sub(digest_term(hash, len));
+        }
+        inner.committed_digest = digest;
         inner.live_bytes = new_index.values().map(|l| l.len).sum();
         inner.dead_bytes = 0;
         inner.index = new_index;
         inner.manifest_len = manifest.len() as u64;
-        inner.active_segment = inner.next_segment;
-        inner.next_segment += 1;
-        inner.active_len = 0;
-        inner.committed_digest = digest_of(&inner.index);
-        inner.sync_digests.push(inner.committed_digest);
+        inner.manifest = None;
+        Self::retire_segment(inner);
+        if let Some(d) = &mut inner.sync_digests {
+            d.push(digest);
+        }
         ReuseStats::inc(&self.stats.manifest_swaps);
         true
     }
@@ -896,6 +1000,7 @@ fn read_record_at(dir: &Path, loc: RecordLoc) -> Result<DurableRecord, RecordErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -921,13 +1026,35 @@ mod tests {
         }
     }
 
+    /// A batch of 64-byte records, one per hash.
+    fn batch(hashes: impl IntoIterator<Item = u64>) -> Vec<DurableRecord> {
+        hashes.into_iter().map(|h| rec(h, &[h as u8; 64])).collect()
+    }
+
     fn open_plain(dir: &Path) -> (SegmentStore, Vec<RecoveredMeta>) {
+        open_with(dir, FaultPlan::none())
+    }
+
+    fn open_with(dir: &Path, faults: FaultPlan) -> (SegmentStore, Vec<RecoveredMeta>) {
         SegmentStore::open(
             dir.to_path_buf(),
             1 << 16,
             1 << 30, // never auto-compact in unit tests
-            FaultPlan::none(),
+            faults,
             Arc::new(ReuseStats::default()),
+        )
+    }
+
+    /// The committed set folded in full: the index plus the records
+    /// whose tombstones are still buffered.
+    fn committed_fold(store: &SegmentStore) -> u64 {
+        let inner = store.inner.lock();
+        digest_of(
+            inner
+                .index
+                .iter()
+                .map(|(h, l)| (*h, l.len))
+                .chain(inner.pending_dels.iter().copied()),
         )
     }
 
@@ -965,11 +1092,12 @@ mod tests {
         {
             let (store, recovered) = open_plain(&dir);
             assert!(recovered.is_empty());
-            assert!(store.put(&rec(1, b"one")));
-            assert!(store.put(&rec(2, b"two")));
+            assert!(store.commit(&[rec(1, b"one")]));
+            assert!(store.commit(&[rec(2, b"two")]));
             assert_eq!(store.read(1).unwrap().matrix_bytes, b"one");
             assert!(store.remove(2).is_some());
             assert!(!store.contains(2));
+            store.close();
         }
         let (store, recovered) = open_plain(&dir);
         assert_eq!(recovered.len(), 1);
@@ -985,8 +1113,8 @@ mod tests {
         let stats = Arc::new(ReuseStats::default());
         {
             let (store, _) = open_plain(&dir);
-            assert!(store.put(&rec(1, b"aaaa")));
-            assert!(store.put(&rec(2, b"bbbb")));
+            assert!(store.commit(&[rec(1, b"aaaa")]));
+            assert!(store.commit(&[rec(2, b"bbbb")]));
         }
         // Flip one byte inside the first record's payload on disk.
         let seg = segment_path(&dir, 1);
@@ -1014,7 +1142,7 @@ mod tests {
         let dir = tmp_dir("torn_tail");
         {
             let (store, _) = open_plain(&dir);
-            assert!(store.put(&rec(1, b"one")));
+            assert!(store.commit(&[rec(1, b"one")]));
         }
         // Simulate a torn final append: half a `put` line.
         let mut manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
@@ -1038,7 +1166,7 @@ mod tests {
             stats.clone(),
         );
         for i in 0..8u64 {
-            assert!(store.put(&rec(i, &vec![i as u8; 600])));
+            assert!(store.commit(&[rec(i, &vec![i as u8; 600])]));
         }
         for i in 0..6u64 {
             assert!(store.remove(i).is_some());
@@ -1056,6 +1184,15 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The baseline sequence of the kill tests: three batches, a
+    /// buffered tombstone between the first two.
+    fn commit_sequence(store: &SegmentStore) {
+        store.commit(&batch(0..3));
+        store.remove(1);
+        store.commit(&batch(3..5));
+        store.commit(&batch([5]));
+    }
+
     #[test]
     fn kill_at_each_sync_point_recovers_the_committed_prefix() {
         // Baseline: record the committed digest after every sync point.
@@ -1064,13 +1201,12 @@ mod tests {
         let digests;
         {
             let (store, _) = open_plain(&base);
-            for i in 0..5u64 {
-                assert!(store.put(&rec(i, &[i as u8; 64])));
-            }
-            store.remove(1);
+            store.record_sync_digests();
+            commit_sequence(&store);
             total_syncs = store.sync_points();
             digests = store.sync_digests();
         }
+        assert_eq!(total_syncs, 6, "three batches, two sync points each");
         assert_eq!(digests.len() as u64, total_syncs);
         for k in 1..=total_syncs {
             let dir = tmp_dir(&format!("kill_{k}"));
@@ -1079,10 +1215,7 @@ mod tests {
             {
                 let (store, _) =
                     SegmentStore::open(dir.clone(), 1 << 16, 1 << 30, plan, stats.clone());
-                for i in 0..5u64 {
-                    store.put(&rec(i, &[i as u8; 64]));
-                }
-                store.remove(1);
+                commit_sequence(&store);
                 assert!(store.is_crashed(), "kill point {k} must fire");
             }
             let (store, _) = open_plain(&dir);
@@ -1107,6 +1240,153 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_costs_two_sync_points_whatever_its_size() {
+        let dir = tmp_dir("batch_syncs");
+        let (store, _) = open_plain(&dir);
+        let mut next = 0u64;
+        for n in 1..=8u64 {
+            let before = store.sync_points();
+            assert!(store.commit(&batch(next..next + n)));
+            assert_eq!(store.sync_points() - before, 2, "batch of {n}");
+            next += n;
+        }
+        drop(store);
+        let (store, recovered) = open_plain(&dir);
+        assert_eq!(recovered.len() as u64, next, "every batch recovers");
+        assert_eq!(store.durable_digest(), committed_fold(&store));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_remove_costs_no_sync_point_and_rides_the_next_commit() {
+        let dir = tmp_dir("remove_rides");
+        {
+            let (store, _) = open_plain(&dir);
+            assert!(store.commit(&batch(0..2)));
+            let (syncs, digest) = (store.sync_points(), store.durable_digest());
+            assert_eq!(
+                store.remove(0),
+                Some(encode_record(&batch([0])[0]).len() as u64)
+            );
+            assert_eq!(store.sync_points(), syncs, "a remove syncs nothing");
+            assert_eq!(
+                store.durable_digest(),
+                digest,
+                "a buffered tombstone is not committed yet"
+            );
+            assert!(!store.contains(0), "but the entry is gone at once");
+        }
+        // Dropped without a commit: the tombstone was never durable and
+        // the record (still correct for its hash) comes back.
+        let (store, recovered) = open_plain(&dir);
+        assert_eq!(recovered.len(), 2);
+        store.remove(0);
+        let syncs = store.sync_points();
+        assert!(store.commit(&batch([2])));
+        assert_eq!(store.sync_points(), syncs + 2, "the tombstone rides along");
+        drop(store);
+        let (store, recovered) = open_plain(&dir);
+        assert_eq!(recovered.len(), 2);
+        assert!(!store.contains(0), "durable after the next commit");
+        assert!(store.contains(1) && store.contains(2));
+        // A clean close commits buffered tombstones with one sync point.
+        store.remove(1);
+        let syncs = store.sync_points();
+        store.close();
+        assert_eq!(store.sync_points(), syncs + 1);
+        store.close();
+        assert_eq!(store.sync_points(), syncs + 1, "nothing left to close");
+        drop(store);
+        let (store, _) = open_plain(&dir);
+        assert!(!store.contains(1), "durable after a clean close");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_kill_at_either_sync_point_of_a_batch_recovers_none_of_it() {
+        // Sync points 1-2 commit {0, 1, 2}; 3 and 4 are the batch
+        // {3, 4, 5}, which carries the buffered tombstone of 1.
+        for k in [3u64, 4] {
+            let dir = tmp_dir(&format!("batch_kill_{k}"));
+            let committed;
+            {
+                let plan = FaultPlan::seeded(9).with_disk_kill_at_sync(k);
+                let (store, _) = open_with(&dir, plan);
+                assert!(store.commit(&batch(0..3)));
+                committed = store.durable_digest();
+                store.remove(1);
+                assert!(!store.commit(&batch(3..6)), "killed at sync {k}");
+                assert!(store.is_crashed());
+                assert_eq!(store.durable_digest(), committed);
+            }
+            let (store, recovered) = open_plain(&dir);
+            assert_eq!(recovered.len(), 3, "kill at sync {k}");
+            for h in 0..3 {
+                assert!(store.contains(h), "kill at sync {k}: {h} survives");
+            }
+            for h in 3..6 {
+                assert!(!store.contains(h), "kill at sync {k}: {h} never committed");
+            }
+            assert_eq!(store.durable_digest(), committed);
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_respill_of_a_buffered_tombstone_survives_recovery() {
+        let dir = tmp_dir("respill");
+        {
+            let (store, _) = open_plain(&dir);
+            assert!(store.commit(&[rec(7, b"first")]));
+            store.remove(7);
+            assert!(store.commit(&[rec(7, b"second"), rec(8, b"other")]));
+            assert_eq!(store.durable_digest(), committed_fold(&store));
+        }
+        let (store, recovered) = open_plain(&dir);
+        assert_eq!(recovered.len(), 2);
+        assert_eq!(store.read(7).unwrap().matrix_bytes, b"second");
+        assert_eq!(store.durable_digest(), committed_fold(&store));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_killed_at_birth_gets_its_header_on_the_next_commit() {
+        let dir = tmp_dir("manifest_birth");
+        {
+            // Sync 2 is the first manifest fsync: the kill truncates the
+            // new manifest back to zero bytes, but the file stays.
+            let (store, _) = open_with(&dir, FaultPlan::seeded(3).with_disk_kill_at_sync(2));
+            assert!(!store.commit(&batch([1])));
+        }
+        assert_eq!(fs::metadata(dir.join(MANIFEST_FILE)).unwrap().len(), 0);
+        {
+            let (store, recovered) = open_plain(&dir);
+            assert!(recovered.is_empty());
+            assert!(store.commit(&batch([2])));
+        }
+        let (store, recovered) = open_plain(&dir);
+        assert_eq!(recovered.len(), 1, "the commit after the kill is durable");
+        assert!(store.contains(2));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sync_digests_stay_empty_until_opted_in() {
+        let dir = tmp_dir("no_digests");
+        let (store, _) = open_plain(&dir);
+        for i in 0..100u64 {
+            assert!(store.commit(&batch([i % 10])));
+        }
+        assert_eq!(store.sync_points(), 200);
+        assert!(store.sync_digests().is_empty());
+        store.record_sync_digests();
+        assert!(store.commit(&batch([100])));
+        assert_eq!(store.sync_digests().len(), 2);
+        assert_eq!(store.sync_digests()[1], store.durable_digest());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn crash_before_rename_keeps_old_manifest() {
         let dir = tmp_dir("prerename");
         let stats = Arc::new(ReuseStats::default());
@@ -1121,7 +1401,7 @@ mod tests {
                 stats.clone(),
             );
             for i in 0..4u64 {
-                assert!(store.put(&rec(i, &[i as u8; 64])));
+                assert!(store.commit(&[rec(i, &[i as u8; 64])]));
             }
             store.remove(0);
             store.remove(1);
@@ -1140,7 +1420,7 @@ mod tests {
         {
             let (store, _) = SegmentStore::open(dir.clone(), 1 << 16, 1 << 30, plan, stats.clone());
             for i in 0..4u64 {
-                assert!(store.put(&rec(i, &[i as u8; 64])));
+                assert!(store.commit(&[rec(i, &[i as u8; 64])]));
             }
             store.remove(0);
             store.remove(1);
@@ -1154,7 +1434,9 @@ mod tests {
         }
         let (store, recovered) = open_plain(&dir);
         assert!(!dir.join(MANIFEST_TMP).exists(), "recovery sweeps the tmp");
-        assert_eq!(recovered.len(), 2);
+        // The two tombstones were buffered for the compaction that never
+        // landed: the old generation still holds all four records.
+        assert_eq!(recovered.len(), 4);
         assert_eq!(
             store.durable_digest(),
             digest_before,
@@ -1172,7 +1454,7 @@ mod tests {
         let plan = FaultPlan::seeded(1).with_disk_torn_write_rate(1.0);
         {
             let (store, _) = SegmentStore::open(dir.clone(), 1 << 16, 1 << 30, plan, stats.clone());
-            assert!(!store.put(&rec(9, b"to-be-torn")));
+            assert!(!store.commit(&[rec(9, b"to-be-torn")]));
             assert!(store.is_crashed());
             assert!(!store.contains(9));
         }
@@ -1184,42 +1466,92 @@ mod tests {
 
     #[test]
     fn digest_is_order_independent_and_content_sensitive() {
-        let mut a = HashMap::new();
-        a.insert(
-            1u64,
-            RecordLoc {
-                segment: 1,
-                offset: 0,
-                len: 10,
-            },
+        let a = digest_of([(1, 10), (2, 20)]);
+        assert_eq!(a, digest_of([(2, 20), (1, 10)]), "order doesn't matter");
+        assert_ne!(a, digest_of([(1, 11), (2, 20)]), "lengths do");
+        assert_ne!(a, digest_of([(1, 10), (3, 20)]), "hashes do");
+        assert_ne!(a, digest_of([(1, 20), (2, 10)]), "pairs stay paired");
+        assert_eq!(
+            a.wrapping_sub(digest_term(2, 20)),
+            digest_of([(1, 10)]),
+            "a del subtracts exactly its put"
         );
-        a.insert(
-            2u64,
-            RecordLoc {
-                segment: 9,
-                offset: 5,
-                len: 20,
+        assert_eq!(empty_digest(), digest_of([]));
+    }
+
+    #[derive(Debug, Clone)]
+    enum StoreOp {
+        Batch(Vec<u64>),
+        Remove(u64),
+        Compact,
+        Reopen { clean: bool },
+    }
+
+    /// Decodes one `(selector, key, n)` draw: batches of 1-8 records
+    /// (repeats allowed) weighted heaviest, then removes, an occasional
+    /// compaction, and a reopen after a clean close or a crash.
+    fn store_op(sel: u8, key: u64, n: usize) -> StoreOp {
+        match sel {
+            0..=3 => StoreOp::Batch((0..n as u64).map(|j| (key + j * j) % 12).collect()),
+            4..=6 => StoreOp::Remove(key),
+            7 => StoreOp::Compact,
+            _ => StoreOp::Reopen {
+                clean: n.is_multiple_of(2),
             },
-        );
-        let mut b = HashMap::new();
-        b.insert(
-            2u64,
-            RecordLoc {
-                segment: 3, // different location, same (hash, len)
-                offset: 0,
-                len: 20,
-            },
-        );
-        b.insert(
-            1u64,
-            RecordLoc {
-                segment: 1,
-                offset: 0,
-                len: 10,
-            },
-        );
-        assert_eq!(digest_of(&a), digest_of(&b), "locations don't matter");
-        b.get_mut(&1).unwrap().len = 11;
-        assert_ne!(digest_of(&a), digest_of(&b));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The O(1) digest always equals a full fold over the
+        /// committed set, and a reopen — after a clean close or a crash
+        /// that loses the buffered tombstones — recovers exactly it.
+        #[test]
+        fn digest_equals_a_full_fold(
+            raw_ops in proptest::collection::vec((0u8..9, 0u64..12, 1usize..9), 1..40),
+        ) {
+            let dir = tmp_dir("digest_prop");
+            let open = || SegmentStore::open(
+                dir.clone(),
+                2 << 10, // small segments: batches roll them
+                2 << 10, // and auto-compaction fires
+                FaultPlan::none(),
+                Arc::new(ReuseStats::default()),
+            ).0;
+            let mut store = open();
+            let mut version = 0u8;
+            for &(sel, key, n) in &raw_ops {
+                match store_op(sel, key, n) {
+                    StoreOp::Batch(hashes) => {
+                        version = version.wrapping_add(1);
+                        let recs: Vec<DurableRecord> = hashes
+                            .iter()
+                            .map(|&h| rec(h, &vec![version; 32 + 16 * (h as usize % 5)]))
+                            .collect();
+                        prop_assert!(store.commit(&recs));
+                    }
+                    StoreOp::Remove(h) => {
+                        store.remove(h);
+                    }
+                    StoreOp::Compact => {
+                        prop_assert!(store.compact_now());
+                    }
+                    StoreOp::Reopen { clean } => {
+                        if clean {
+                            store.close();
+                            prop_assert!(store.inner.lock().pending_dels.is_empty());
+                        }
+                        let committed = store.durable_digest();
+                        drop(store);
+                        store = open();
+                        prop_assert_eq!(store.durable_digest(), committed);
+                    }
+                }
+                prop_assert_eq!(store.durable_digest(), committed_fold(&store));
+            }
+            drop(store);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

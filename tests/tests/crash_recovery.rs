@@ -16,12 +16,14 @@
 //!    checksums.
 //!
 //! 2. **Torn-write / corruption proptest** — random interleavings of
-//!    put / delete / compaction / crash+reopen against the raw
-//!    [`SegmentStore`], with seeded torn-write and silent-corruption
-//!    injection. A shadow model folds the acknowledged operations; after
-//!    every reopen the recovered state must equal that fold minus the
-//!    corrupted records, and no read may ever surface corrupt bytes —
-//!    checksum rejection must route to recompute (a `None` read).
+//!    put / batch put / delete / compaction / crash+reopen against the
+//!    raw [`SegmentStore`], with seeded torn-write and silent-corruption
+//!    injection. A shadow model folds only what was committed — a delete
+//!    is buffered until the next acknowledged commit or compaction and
+//!    lost on a crash; after every reopen the recovered state must equal
+//!    that fold minus the corrupted records, and no read may ever surface
+//!    corrupt bytes — checksum rejection must route to recompute (a
+//!    `None` read).
 
 use memphis_core::backend::BackendId;
 use memphis_core::cache::backends::DiskBackend;
@@ -125,18 +127,20 @@ struct SweepRun {
     crashed: bool,
 }
 
-/// Runs one kind's workload over a fresh cache rooted at `dir`.
+/// Runs one kind's workload over a fresh cache rooted at `dir`,
+/// recording the committed digest after every sync point.
 fn run_pipeline(dir: &Path, kind: &str, faults: FaultPlan) -> SweepRun {
     let cache = Arc::new(LineageCache::new(sweep_config(dir, kind, faults)));
-    let checks = run_workload(&cache, kind)
-        .into_iter()
-        .map(f64::to_bits)
-        .collect();
     let disk = cache
         .registry()
         .downcast::<DiskBackend>(BackendId::Disk)
         .expect("disk tier");
     let store = disk.segment_store();
+    store.record_sync_digests();
+    let checks = run_workload(&cache, kind)
+        .into_iter()
+        .map(f64::to_bits)
+        .collect();
     SweepRun {
         checks,
         syncs: store.sync_points(),
@@ -255,21 +259,25 @@ fn hband_survives_a_kill_at_every_sync_point() {
 // 2. Torn-write / corruption proptest over the raw store
 // ----------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
-    Put(u8),
+    /// One group commit: a lone spill is a batch of one, an eviction
+    /// pass commits all of its spill victims.
+    PutBatch(Vec<u8>),
     Del(u8),
     Compact,
     Reopen,
 }
 
-/// Decodes one `(selector, key)` pair into an op — puts weighted
-/// heaviest, an occasional compaction or crash+reopen.
-fn decode_op(sel: u8, key: u8) -> Op {
+/// Decodes one `(selector, key, n)` draw into an op — single puts and
+/// batches of 1-8 records weighted heaviest, an occasional compaction
+/// or crash+reopen.
+fn decode_op(sel: u8, key: u8, n: u8) -> Op {
     match sel {
-        0..=3 => Op::Put(key),
-        4..=5 => Op::Del(key),
-        6 => Op::Compact,
+        0..=2 => Op::PutBatch(vec![key]),
+        3..=4 => Op::PutBatch((0..n).map(|j| (key + 3 * j) % 8).collect()),
+        5..=6 => Op::Del(key),
+        7 => Op::Compact,
         _ => Op::Reopen,
     }
 }
@@ -299,13 +307,29 @@ fn open_store(dir: &Path, plan: &FaultPlan) -> SegmentStore {
     .0
 }
 
-/// Shadow of the *durable* state: the latest acknowledged record bytes
-/// per hash plus whether that write was silently corrupted.
+/// Shadow of the *durable* state: the latest committed record bytes per
+/// hash plus whether that write was silently corrupted, and the hashes
+/// whose tombstones are buffered until the next commit or compaction.
 #[derive(Default)]
 struct Shadow {
     live: HashMap<u64, (Vec<u8>, bool)>,
+    pending_dels: Vec<u64>,
     write_seq: u64,
     crashed: bool,
+}
+
+impl Shadow {
+    /// True when the store's in-memory view holds `hash`.
+    fn visible(&self, hash: u64) -> bool {
+        self.live.contains_key(&hash) && !self.pending_dels.contains(&hash)
+    }
+
+    /// A commit or compaction landed: the buffered tombstones are durable.
+    fn commit_dels(&mut self) {
+        for hash in self.pending_dels.drain(..) {
+            self.live.remove(&hash);
+        }
+    }
 }
 
 /// Recovered state must equal the fold of acknowledged ops minus the
@@ -346,14 +370,14 @@ proptest! {
 
     #[test]
     fn torn_writes_never_surface_corrupt_entries(
-        raw_ops in proptest::collection::vec((0u8..8, 0u8..8), 1..32),
+        raw_ops in proptest::collection::vec((0u8..9, 0u8..8, 1u8..9), 1..32),
         seed in 0u64..512,
         torn_sel in 0u8..5,
         corrupt_sel in 0u8..5,
     ) {
         let torn_rate = torn_sel as f64 * 0.08;
         let corrupt_rate = corrupt_sel as f64 * 0.08;
-        let ops: Vec<Op> = raw_ops.iter().map(|&(s, k)| decode_op(s, k)).collect();
+        let ops: Vec<Op> = raw_ops.iter().map(|&(s, k, n)| decode_op(s, k, n)).collect();
         let dir = scratch("proptest");
         let _ = std::fs::remove_dir_all(&dir);
         let plan = FaultPlan::seeded(seed)
@@ -365,24 +389,35 @@ proptest! {
 
         for op in &ops {
             match op {
-                Op::Put(k) => {
-                    let v = versions.entry(*k).or_insert(0);
-                    *v += 1;
-                    let rec = record_for(*k, *v);
-                    let acked = store.put(&rec);
+                Op::PutBatch(keys) => {
+                    let recs: Vec<DurableRecord> = keys
+                        .iter()
+                        .map(|k| {
+                            let v = versions.entry(*k).or_insert(0);
+                            *v += 1;
+                            record_for(*k, *v)
+                        })
+                        .collect();
+                    let acked = store.commit(&recs);
                     if shadow.crashed {
                         prop_assert!(!acked, "a crashed store must reject writes");
                         continue;
                     }
-                    shadow.write_seq += 1;
-                    if plan.should_tear_disk_write(shadow.write_seq) {
-                        prop_assert!(!acked, "a torn write must not be acknowledged");
+                    // Every record of the batch draws its own write
+                    // decision; one torn record kills the whole batch.
+                    let first_seq = shadow.write_seq + 1;
+                    shadow.write_seq += recs.len() as u64;
+                    if (first_seq..=shadow.write_seq).any(|s| plan.should_tear_disk_write(s)) {
+                        prop_assert!(!acked, "a torn batch must not be acknowledged");
                         shadow.crashed = true;
                         continue;
                     }
                     prop_assert!(acked);
-                    let corrupt = plan.should_corrupt_disk_record(shadow.write_seq);
-                    shadow.live.insert(rec.content_hash, (rec.matrix_bytes.clone(), corrupt));
+                    shadow.commit_dels();
+                    for (seq, rec) in (first_seq..).zip(&recs) {
+                        let corrupt = plan.should_corrupt_disk_record(seq);
+                        shadow.live.insert(rec.content_hash, (rec.matrix_bytes.clone(), corrupt));
+                    }
                 }
                 Op::Del(k) => {
                     let hash = 0x1000 + *k as u64;
@@ -392,25 +427,32 @@ proptest! {
                         // record, and reopen resurrects it.
                         continue;
                     }
-                    // Tombstone presence must match the committed fold.
-                    let committed = shadow.live.contains_key(&hash);
-                    prop_assert_eq!(removed.is_some(), committed);
-                    shadow.live.remove(&hash);
+                    // Removal must match the store's view: committed and
+                    // not already tombstoned.
+                    prop_assert_eq!(removed.is_some(), shadow.visible(hash));
+                    if removed.is_some() {
+                        shadow.pending_dels.push(hash);
+                    }
                 }
                 Op::Compact => {
                     let swapped = store.compact_now();
                     if shadow.crashed {
                         prop_assert!(!swapped, "a crashed store must not compact");
                     } else {
-                        // Compaction re-verifies: corrupted records fall
+                        // The swap makes buffered tombstones durable, and
+                        // compaction re-verifies: corrupted records fall
                         // out of the new generation.
+                        prop_assert!(swapped);
+                        shadow.commit_dels();
                         shadow.live.retain(|_, (_, corrupt)| !*corrupt);
                     }
                 }
                 Op::Reopen => {
                     drop(store);
                     store = open_store(&dir, &plan);
-                    // Recovery rejects (and tombstones) corrupt records.
+                    // A crash loses buffered tombstones; recovery rejects
+                    // (and tombstones) corrupt records.
+                    shadow.pending_dels.clear();
                     shadow.live.retain(|_, (_, corrupt)| !*corrupt);
                     shadow.crashed = false;
                     shadow.write_seq = 0;
@@ -422,6 +464,7 @@ proptest! {
         // Final crash + recovery, whatever state the sequence left.
         drop(store);
         let store = open_store(&dir, &FaultPlan::none());
+        shadow.pending_dels.clear();
         shadow.live.retain(|_, (_, corrupt)| !*corrupt);
         assert_recovered_matches(&store, &shadow);
         let _ = std::fs::remove_dir_all(&dir);
