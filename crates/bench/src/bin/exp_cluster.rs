@@ -1,46 +1,32 @@
 //! Cluster experiment: multi-node cache sharding with cross-node reuse,
-//! bounded rebalancing, and hot-item replication.
+//! bounded rebalancing, and hot-item replication, every trace served
+//! through memphis-serve's `ClusterDispatcher`.
 //!
-//! Asserts the cluster determinism contract for each seed: the served
-//! digest is bit-identical across node counts {1, 2, 4, 8} and across a
-//! mid-run join/leave (membership is a placement concern, never a
+//! Asserts the cluster determinism contract for each seed on the
+//! cluster scenario shared with the bench gate and the cluster suite
+//! (`memphis_bench::golden::run_cluster_scenario`): per-batch served
+//! digests are bit-identical across node counts {1, 2, 4, 8} and across
+//! a mid-run join/leave (membership is a placement concern, never a
 //! correctness concern); repeated runs produce identical counter
-//! snapshots; churn alone never forces a recompute. The skew scenario
-//! shows replication flattening a hotspot: with R=2 the hottest node's
-//! share of hot-item serves drops strictly below the unreplicated run.
-//! Finally the serve-layer dispatcher demonstrates warm cross-trace
-//! reuse surviving a join/leave between traces. Supports the shared
-//! `--trace` / `--json` observability flags.
+//! snapshots; computes equal the trace's oracle, so churn alone never
+//! forces a recompute; and the churned run drives every gated counter
+//! class. The hot-spot scenario shows replication flattening a one-item
+//! hot spot: with R=2 the busiest node's share of hits drops strictly
+//! below the unreplicated run. Finally the dispatcher demonstrates warm
+//! cross-trace reuse surviving a join/leave between traces. Supports
+//! the shared `--trace` / `--json` observability flags.
 
+use memphis_bench::golden::{
+    cluster_config, max_share_x1000, run_cluster_scenario, run_hotspot, ClusterOutcome,
+};
 use memphis_bench::{header, obs_absorb, obs_finish, obs_init, obs_record};
 use memphis_serve::{open_loop, ClusterDispatcher, ClusterServeConfig, StreamSpec};
-use memphis_workloads::{run_cluster, ClusterParams, ClusterReport};
 
-/// Hotspot scenario used for the flattening comparison: one very hot
-/// item drawing 90% of traffic, replication the only variable. With
-/// R=0 every hot read lands on the item's single primary node (max
-/// share 1000 by construction); replication must strictly beat that.
-fn skew_params(seed: u64, replicas: usize) -> ClusterParams {
-    let mut p = ClusterParams::test(4, seed);
-    p.hot_items = 1;
-    p.hot_frac = 0.9;
-    p.requests = 400;
-    p.replicas = replicas;
-    p
-}
-
-fn print_report(label: &str, r: &ClusterReport) {
-    let s = &r.stats;
+fn print_outcome(label: &str, o: &ClusterOutcome) {
+    let s = &o.stats;
     println!(
-        "{label:<24} digest={:016x}  local={} remote={} replica={} handoff={} \
-         computes={} recomputes={}",
-        r.digest,
-        s.local_hits,
-        s.remote_hits,
-        s.replica_hits,
-        s.handoff_hits,
-        s.computes,
-        r.recomputes
+        "{label:<24} local={} remote={} replica={} handoff={} computes={} (oracle {})",
+        s.local_hits, s.remote_hits, s.replica_hits, s.handoff_hits, s.computes, o.oracle_computes
     );
     println!(
         "{:<24} moves={} drops={} replicas(placed/inval/dropped)={}/{}/{} \
@@ -67,96 +53,73 @@ fn main() {
 
     for seed in [42u64, 1337] {
         // --- Node-count invariance: {1, 2, 4, 8} nodes, same trace. ---
-        let runs: Vec<(usize, ClusterReport)> = [1usize, 2, 4, 8]
+        let runs: Vec<(usize, ClusterOutcome)> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&n| (n, run_cluster(&ClusterParams::test(n, seed))))
+            .map(|&n| (n, run_cluster_scenario(cluster_config(seed, n), false)))
             .collect();
-        let d0 = runs[0].1.digest;
-        for (n, r) in &runs {
+        let want = &runs[0].1.digests;
+        for (n, o) in &runs {
             assert_eq!(
-                r.digest, d0,
-                "seed {seed}: digest diverged at {n} nodes — results must \
+                &o.digests, want,
+                "seed {seed}: digests diverged at {n} nodes — results must \
                  not depend on the node count"
             );
-            assert_eq!(
-                r.recomputes, 0,
-                "seed {seed}: {n} nodes recomputed a cached item"
-            );
-            assert_eq!(
-                r.pending_moves, 0,
-                "seed {seed}: {n} nodes left moves queued"
+            assert!(
+                o.invariants_hold(),
+                "seed {seed}: {n} nodes recomputed, left moves queued or \
+                 orphaned a replica: {o:?}"
             );
         }
         // Repeated run → identical counter snapshot (full determinism).
-        let again = run_cluster(&ClusterParams::test(4, seed));
+        let again = run_cluster_scenario(cluster_config(seed, 4), false);
         assert_eq!(
             again.stats, runs[2].1.stats,
             "seed {seed}: counters must be exact"
         );
-        assert_eq!(again.hot_serves, runs[2].1.hot_serves);
 
-        // --- Churn invariance: mid-run join + leave, same digest. ---
-        let mut churned = ClusterParams::test(4, seed);
-        churned.churn = true;
-        let c = run_cluster(&churned);
+        // --- Churn invariance and counter coverage: the gate's run. ---
+        let g = run_cluster_scenario(cluster_config(seed, 4), true);
         assert_eq!(
-            c.digest, d0,
+            &g.digests, want,
             "seed {seed}: a mid-run join/leave changed the served results"
         );
-        assert_eq!(
-            c.recomputes, 0,
-            "seed {seed}: churn alone forced a recompute"
+        assert!(
+            g.invariants_hold(),
+            "seed {seed}: churn alone forced a recompute or left the \
+             cluster unsettled: {g:?}"
         );
         assert!(
-            c.stats.rebalance_moves > 0,
-            "seed {seed}: churn moved nothing"
-        );
-
-        // --- Gate configuration: every counter class exercised. ---
-        let g = run_cluster(&ClusterParams::gate(seed));
-        assert!(g.stats.remote_hits > 0, "seed {seed}: no cross-node reuse");
-        assert!(
-            g.stats.replica_hits > 0,
-            "seed {seed}: no replica served a read"
-        );
-        assert!(
-            g.stats.replica_invalidations > 0,
-            "seed {seed}: writes never invalidated"
-        );
-        assert!(
-            g.stats.transfer_bytes > 0,
-            "seed {seed}: nothing crossed the fabric"
-        );
-        assert_eq!(
-            g.recomputes, 0,
-            "seed {seed}: only invalidations may force recomputes"
+            g.silent_classes().is_empty(),
+            "seed {seed}: counter classes never exercised: {:?}",
+            g.silent_classes()
         );
 
         println!("seed={seed}");
-        for (n, r) in &runs {
-            print_report(&format!("  nodes={n}"), r);
+        for (n, o) in &runs {
+            print_outcome(&format!("  nodes={n}"), o);
         }
-        print_report("  nodes=4 churn", &c);
-        print_report("  gate (churn+inval)", &g);
+        print_outcome("  nodes=4 churn (gate)", &g);
 
         // --- Replication flattens the hotspot. ---
-        let norep = run_cluster(&skew_params(seed, 0));
-        let rep = run_cluster(&skew_params(seed, 2));
+        let (norep, norep_hits) = run_hotspot(seed, 0);
+        let (rep, rep_hits) = run_hotspot(seed, 2);
+        let (norep_share, rep_share) = (max_share_x1000(&norep_hits), max_share_x1000(&rep_hits));
         assert_eq!(
             norep.digest, rep.digest,
             "seed {seed}: replication changed results"
         );
+        assert_eq!(
+            norep_share, 1000,
+            "seed {seed}: without replicas the primary serves every hit"
+        );
         assert!(
-            rep.hot_max_share_x1000 < norep.hot_max_share_x1000,
+            rep_share < norep_share,
             "seed {seed}: replication must flatten the hotspot \
-             (R=0 max share {}/1000, R=2 max share {}/1000)",
-            norep.hot_max_share_x1000,
-            rep.hot_max_share_x1000
+             (R=0 max share {norep_share}/1000, R=2 max share {rep_share}/1000)"
         );
         println!(
-            "  hotspot max share: R=0 {:>4}/1000 -> R=2 {:>4}/1000  \
-             (hot serves per node: {:?} -> {:?})",
-            norep.hot_max_share_x1000, rep.hot_max_share_x1000, norep.hot_serves, rep.hot_serves
+            "  hotspot max share: R=0 {norep_share:>4}/1000 -> R=2 {rep_share:>4}/1000  \
+             (hits per node: {norep_hits:?} -> {rep_hits:?})"
         );
 
         obs_absorb(&g.stats);
@@ -168,8 +131,8 @@ fn main() {
                 ("replica_hits", g.stats.replica_hits),
                 ("rebalance_moves", g.stats.rebalance_moves),
                 ("replica_invalidations", g.stats.replica_invalidations),
-                ("hot_share_norep_x1000", norep.hot_max_share_x1000),
-                ("hot_share_rep_x1000", rep.hot_max_share_x1000),
+                ("hot_share_norep_x1000", norep_share),
+                ("hot_share_rep_x1000", rep_share),
             ],
         );
     }

@@ -8,6 +8,7 @@
 //! deterministic at any scale (wall clock is not).
 
 use crate::{bench_cache, bench_gpu, bench_spark};
+use memphis_cluster::{ClusterStatsSnapshot, NodeId};
 use memphis_core::cache::Admit;
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_engine::{EngineConfig, ReuseMode};
@@ -16,6 +17,7 @@ use memphis_matrix::ops::binary::{binary_scalar, BinaryOp};
 use memphis_matrix::ops::unary::UnaryOp;
 use memphis_matrix::rand_gen::rand_uniform;
 use memphis_matrix::BlockedMatrix;
+use memphis_serve::{ClusterDispatcher, ClusterServeConfig, ClusterServeReport, Request, Work};
 use memphis_sparksim::{SparkContext, StorageLevel};
 use memphis_workloads::harness::Backends;
 use std::sync::Arc;
@@ -727,6 +729,165 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
         spill_sync_points,
         spill_spills,
     }
+}
+
+// ----------------------------------------------------------------------
+// Cluster scenario: one skewed trace through `ClusterDispatcher`, shared
+// by the gate, `tests/tests/cluster.rs` and exp_cluster
+// ----------------------------------------------------------------------
+
+/// Requests in the cluster trace, one per tick.
+const CLUSTER_REQUESTS: usize = 600;
+/// Requests per dispatched batch.
+const CLUSTER_BATCH: usize = 50;
+/// Hot items: the first 4 of the trace's 32 items draw 75% of it.
+const CLUSTER_HOT: usize = 4;
+/// One hot item is invalidated before each batch that starts at a
+/// multiple of this many requests.
+const CLUSTER_INVALIDATE_EVERY: usize = 150;
+/// Salt of the invalidation target draw.
+const SALT_INVALIDATE: u64 = 0xc1a0_0005;
+
+/// The cluster scenario's dispatcher on `nodes` nodes: two replicas of
+/// each of the 4 hottest items, 6 moves per rebalance epoch, an epoch
+/// every 50 ticks, and a 1 MiB node budget the trace never fills.
+pub fn cluster_config(seed: u64, nodes: usize) -> ClusterServeConfig {
+    ClusterServeConfig {
+        nodes,
+        seed,
+        replicas: 2,
+        hot_k: 4,
+        hot_min_probes: 3,
+        rebalance_moves: 6,
+        node_budget: 1 << 20,
+        epoch_ticks: 50,
+    }
+}
+
+/// `seed`'s cluster trace: 600 skewed requests from 8 tenants.
+fn cluster_trace(seed: u64) -> Vec<Request> {
+    memphis_serve::skewed(seed, CLUSTER_REQUESTS, 8, 32, CLUSTER_HOT, 0.75)
+}
+
+/// What one run of the cluster scenario served and counted.
+#[derive(Debug, Clone)]
+pub struct ClusterOutcome {
+    /// Served digest of each batch.
+    pub digests: Vec<u64>,
+    /// Cluster counters after the last batch.
+    pub stats: ClusterStatsSnapshot,
+    /// The computes the trace needs: one per item per validity period,
+    /// which begins at the item's first request and again at its first
+    /// request after each invalidation.
+    pub oracle_computes: u64,
+    /// `ClusterCache::orphaned_replicas` after the last batch.
+    pub orphaned_replicas: usize,
+}
+
+impl ClusterOutcome {
+    /// True when nothing was lost or left behind: computes equal the
+    /// oracle's, no move is pending and no replica is orphaned.
+    pub fn invariants_hold(&self) -> bool {
+        self.stats.computes == self.oracle_computes
+            && self.stats.pending_moves == 0
+            && self.orphaned_replicas == 0
+    }
+
+    /// The counter classes a churned run must drive above zero that
+    /// read zero.
+    pub fn silent_classes(&self) -> Vec<&'static str> {
+        let s = &self.stats;
+        [
+            ("remote_hits", s.remote_hits),
+            ("replica_hits", s.replica_hits),
+            ("rebalance_moves", s.rebalance_moves),
+            ("replica_invalidations", s.replica_invalidations),
+            ("handoff_hits", s.handoff_hits),
+            ("transfer_bytes", s.transfer_bytes),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n == 0)
+        .map(|(class, _)| class)
+        .collect()
+    }
+}
+
+/// Runs the cluster scenario: `cfg.seed`'s trace goes through one
+/// dispatcher in batches of 50 requests on one arrival clock. Before
+/// each batch that starts at a multiple of 150 requests, one hot item
+/// is invalidated. With `churn`, node `cfg.nodes` joins before the
+/// batch at a third of the trace, and the owner of hot item 0 leaves
+/// before the batch at two thirds, so its staged primaries serve
+/// handoff hits until the epochs re-home them.
+pub fn run_cluster_scenario(cfg: ClusterServeConfig, churn: bool) -> ClusterOutcome {
+    use memphis_matrix::hash::hash1;
+    use memphis_serve::shared_item;
+
+    let (seed, joiner) = (cfg.seed, cfg.nodes as NodeId);
+    let d = ClusterDispatcher::new(cfg);
+    let c = d.cluster();
+    let mut valid = std::collections::HashSet::new();
+    let mut oracle_computes = 0;
+    let mut digests = Vec::new();
+    for (b, batch) in cluster_trace(seed).chunks(CLUSTER_BATCH).enumerate() {
+        let start = b * CLUSTER_BATCH;
+        if churn && start == CLUSTER_REQUESTS / 3 {
+            c.join(joiner);
+        }
+        if churn && start == 2 * CLUSTER_REQUESTS / 3 {
+            c.leave(c.owner_of_item(&shared_item(0)));
+        }
+        if start > 0 && start.is_multiple_of(CLUSTER_INVALIDATE_EVERY) {
+            let idx = (hash1(seed, SALT_INVALIDATE, start as u64) % CLUSTER_HOT as u64) as usize;
+            c.invalidate(&shared_item(idx));
+            valid.remove(&idx);
+        }
+        for r in batch {
+            if let Work::SharedItem(idx) = r.work {
+                oracle_computes += u64::from(valid.insert(idx));
+            }
+        }
+        digests.push(d.run(batch).digest);
+    }
+    ClusterOutcome {
+        digests,
+        stats: c.stats(),
+        oracle_computes,
+        orphaned_replicas: c.orphaned_replicas(),
+    }
+}
+
+/// The hot-spot scenario: `seed`'s cluster trace with every request
+/// for item 0, dispatched once on 4 nodes with `replicas` copies of
+/// it. Returns the report and the hits each node's cache served, by
+/// node id; without replicas the item's primary serves every hit.
+pub fn run_hotspot(seed: u64, replicas: usize) -> (ClusterServeReport, Vec<(NodeId, u64)>) {
+    let trace: Vec<Request> = cluster_trace(seed)
+        .into_iter()
+        .map(|r| Request {
+            work: Work::SharedItem(0),
+            ..r
+        })
+        .collect();
+    let d = ClusterDispatcher::new(ClusterServeConfig {
+        replicas,
+        ..cluster_config(seed, 4)
+    });
+    let report = d.run(&trace);
+    let hits = d
+        .cluster()
+        .node_stats()
+        .into_iter()
+        .map(|(node, s)| (node, s.hits))
+        .collect();
+    (report, hits)
+}
+
+/// The busiest node's share of `hits`, in thousandths.
+pub fn max_share_x1000(hits: &[(NodeId, u64)]) -> u64 {
+    let total: u64 = hits.iter().map(|&(_, h)| h).sum();
+    let max = hits.iter().map(|&(_, h)| h).max().unwrap_or(0);
+    (max * 1000).checked_div(total).unwrap_or(0)
 }
 
 // ----------------------------------------------------------------------

@@ -11,12 +11,13 @@
 
 use memphis_bench::gate::{divergences, parse, render};
 use memphis_bench::golden::{
-    run_concurrency_gate, run_recovery_gate, run_script_gate, run_serve_gate, serve_gate_spec,
-    ConcGateParams, RecoveryGateParams, ScriptGateParams, ServeGateParams,
+    cluster_config, run_cluster_scenario, run_concurrency_gate, run_recovery_gate, run_script_gate,
+    run_serve_gate, serve_gate_spec, ConcGateParams, RecoveryGateParams, ScriptGateParams,
+    ServeGateParams,
 };
 use memphis_core::CachePolicy;
 use memphis_serve::{open_loop, Outcome};
-use memphis_workloads::{percentile, run_cluster, run_latency, ClusterParams, LatencyParams};
+use memphis_workloads::{percentile, run_latency, LatencyParams};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -30,18 +31,15 @@ fn gate_table() -> Vec<(&'static str, u64)> {
 
     let r = run_recovery_gate(&RecoveryGateParams::full());
 
-    let c = run_cluster(&ClusterParams::gate(42));
-    let cs = &c.stats;
+    // The churned cluster scenario on 4 nodes serves, batch by batch,
+    // what one node serves.
+    let c = run_cluster_scenario(cluster_config(42, 4), true);
+    let one = run_cluster_scenario(cluster_config(42, 1), false);
     assert!(
-        cs.remote_hits > 0
-            && cs.replica_hits > 0
-            && cs.rebalance_moves > 0
-            && cs.replica_invalidations > 0
-            && cs.transfer_bytes > 0
-            && c.recomputes == 0
-            && c.pending_moves == 0,
+        c.invariants_hold() && c.silent_classes().is_empty() && c.digests == one.digests,
         "cluster gate: {c:?}"
     );
+    let cs = &c.stats;
 
     // The same trace under both policies: identical served bytes, a
     // lower tail and live delayed-hits counters only under DelayedHits.

@@ -87,16 +87,6 @@ pub enum Locality {
     Handoff,
 }
 
-impl Locality {
-    /// The node that served the hit, when one did.
-    pub fn node(&self) -> Option<NodeId> {
-        match self {
-            Locality::Local(n) | Locality::Replica(n) | Locality::Remote(n) => Some(*n),
-            Locality::Handoff => None,
-        }
-    }
-}
-
 /// Result of [`ClusterCache::probe_or_begin_from`].
 pub enum ClusterProbed {
     /// Served from somewhere in the cluster.

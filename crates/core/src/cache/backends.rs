@@ -18,7 +18,7 @@
 use crate::backend::{
     BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EvictionPolicy, Materialized,
 };
-use crate::cache::config::{CacheConfig, CachePolicy};
+use crate::cache::config::{CacheConfig, CachePolicy, MATERIALIZE_AFTER_MISSES};
 use crate::cache::durable::{DurableRecord, RecoveredMeta, SegmentStore};
 use crate::cache::entry::{CacheEntry, CachedObject};
 use crate::cache::gpu::GpuMemoryManager;
@@ -457,12 +457,11 @@ impl CacheBackend for LocalBackend {
 /// matrices become CRC-checksummed records keyed by lineage
 /// `content_hash` (with their serialized lineage embedded for
 /// re-interning), committed through an append-only manifest, read back
-/// on hit and optionally promoted to memory again. With a persistent
+/// on hit and promoted to memory again when it fits. With a persistent
 /// directory the tier survives restarts: construction recovers the
 /// manifest and hands verified entry metadata to the cache.
 pub struct DiskBackend {
     store: SegmentStore,
-    promote_on_hit: bool,
     policy: EvictionPolicy,
     /// Persistent stores keep their directory on drop; classic
     /// cache-unique spill directories are removed.
@@ -487,7 +486,6 @@ impl DiskBackend {
         let used = recovered.iter().map(|r| r.matrix_len).sum();
         Self {
             store,
-            promote_on_hit: config.promote_on_disk_hit,
             policy: EvictionPolicy::with_policy(config.policy),
             persistent: config.persist_dir.is_some(),
             used: Mutex::new(used),
@@ -624,14 +622,12 @@ impl CacheBackend for DiskBackend {
                     }
                 });
                 ReuseStats::inc(&self.stats.hits_disk);
-                if self.promote_on_hit {
-                    let promoted = reg
-                        .downcast::<LocalBackend>(BackendId::Local)
-                        .map(|local| local.admit_existing(map, key, m.clone()))
-                        .unwrap_or(false);
-                    if promoted {
-                        self.discard(hash, size);
-                    }
+                let promoted = reg
+                    .downcast::<LocalBackend>(BackendId::Local)
+                    .map(|local| local.admit_existing(map, key, m.clone()))
+                    .unwrap_or(false);
+                if promoted {
+                    self.discard(hash, size);
                 }
                 Materialized::Hit(CachedObject::Matrix(m))
             }
@@ -764,7 +760,6 @@ enum SparkFollowUp {
 pub struct SparkTier {
     backend: SparkBackend,
     policy: EvictionPolicy,
-    materialize_after_misses: u64,
     est: Mutex<usize>,
     stats: Arc<ReuseStats>,
 }
@@ -775,7 +770,6 @@ impl SparkTier {
         Self {
             backend,
             policy: EvictionPolicy::with_policy(config.policy),
-            materialize_after_misses: config.materialize_after_misses,
             est: Mutex::new(0),
             stats,
         }
@@ -894,7 +888,7 @@ impl CacheBackend for SparkTier {
                 // applies, but count the miss toward async
                 // materialization.
                 e.misses += 1;
-                let trigger = !e.materialize_triggered && e.misses >= self.materialize_after_misses;
+                let trigger = !e.materialize_triggered && e.misses >= MATERIALIZE_AFTER_MISSES;
                 if trigger {
                     e.materialize_triggered = true;
                     SparkFollowUp::Trigger(rdd.clone())

@@ -22,22 +22,23 @@ pub enum CachePolicy {
     DelayedHits,
 }
 
-/// Configuration of the hierarchical lineage cache.
+/// Fraction of Spark storage memory usable for reuse-persisted RDDs
+/// (paper: 80%, rest reserved for broadcasts and compiler checkpoints).
+pub(crate) const SPARK_REUSE_FRACTION: f64 = 0.8;
+
+/// Number of unmaterialized reuses of an RDD entry before an
+/// asynchronous `count()` job materializes it (paper default: 3).
+pub(crate) const MATERIALIZE_AFTER_MISSES: u64 = 3;
+
+/// Configuration of the hierarchical lineage cache. A disk hit always
+/// promotes its entry back to driver memory when it fits.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Driver-local cache budget in bytes (paper: 5 GB default on the
     /// driver; scaled here).
     pub local_budget: usize,
-    /// Fraction of Spark storage memory usable for reuse-persisted RDDs
-    /// (paper: 80%, rest reserved for broadcasts and compiler checkpoints).
-    pub spark_reuse_fraction: f64,
-    /// Number of unmaterialized reuses of an RDD entry before an
-    /// asynchronous `count()` job materializes it (paper default: 3).
-    pub materialize_after_misses: u64,
     /// Directory for disk-evicted local binaries.
     pub spill_dir: PathBuf,
-    /// Promote disk-evicted entries back to memory on reuse.
-    pub promote_on_disk_hit: bool,
     /// Spill proven-reusable local entries to disk on eviction (disable to
     /// always drop — recompute-from-lineage replaces disk reads).
     pub spill_to_disk: bool,
@@ -80,10 +81,7 @@ impl CacheConfig {
     pub fn test() -> Self {
         Self {
             local_budget: 1 << 20,
-            spark_reuse_fraction: 0.8,
-            materialize_after_misses: 3,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
-            promote_on_disk_hit: true,
             spill_to_disk: true,
             shards: 8,
             persist_dir: None,
@@ -100,10 +98,7 @@ impl CacheConfig {
     pub fn benchmark() -> Self {
         Self {
             local_budget: 64 << 20,
-            spark_reuse_fraction: 0.8,
-            materialize_after_misses: 3,
             spill_dir: std::env::temp_dir().join("memphis_cache_spill"),
-            promote_on_disk_hit: true,
             spill_to_disk: true,
             shards: 16,
             persist_dir: None,
@@ -128,8 +123,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_parameters() {
-        let c = CacheConfig::test();
-        assert_eq!(c.spark_reuse_fraction, 0.8);
-        assert_eq!(c.materialize_after_misses, 3);
+        assert_eq!(SPARK_REUSE_FRACTION, 0.8);
+        assert_eq!(MATERIALIZE_AFTER_MISSES, 3);
     }
 }

@@ -406,7 +406,7 @@ impl LineageCache {
 
     /// Attaches the simulated Spark cluster as a registered tier.
     pub fn with_spark(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let b = SparkBackend::new(sc, self.config.spark_reuse_fraction);
+        let b = SparkBackend::new(sc, config::SPARK_REUSE_FRACTION);
         self.registry.register(Arc::new(SparkTier::new(
             b,
             &self.config,
@@ -418,7 +418,7 @@ impl LineageCache {
     /// Attaches a Spark tier in deterministic (inline materialization)
     /// mode for tests.
     pub fn with_spark_sync(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let mut b = SparkBackend::new(sc, self.config.spark_reuse_fraction);
+        let mut b = SparkBackend::new(sc, config::SPARK_REUSE_FRACTION);
         b.sync_materialize = true;
         self.registry.register(Arc::new(SparkTier::new(
             b,
@@ -453,11 +453,6 @@ impl LineageCache {
         let mut s = self.stats.snapshot();
         s.shard_contention = self.map.contended_locks();
         s
-    }
-
-    /// Shared handle to the stats (for backend managers and experiments).
-    pub fn stats_handle(&self) -> &Arc<ReuseStats> {
-        &self.stats
     }
 
     /// The registered tier backends.

@@ -114,11 +114,6 @@ impl BlockedMatrix {
         &self.blocks
     }
 
-    /// Consumes the blocked matrix, returning its tiles.
-    pub fn into_blocks(self) -> Vec<(BlockId, Matrix)> {
-        self.blocks
-    }
-
     /// Approximate in-memory size in bytes across all tiles.
     pub fn size_bytes(&self) -> usize {
         self.blocks.iter().map(|(_, b)| b.size_bytes()).sum()

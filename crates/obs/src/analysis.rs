@@ -1,5 +1,5 @@
 //! Assertion helpers over drained traces: span overlap, busy-time
-//! (interval union), critical-path length, per-phase totals. These make
+//! (interval union), makespan, per-phase totals. These make
 //! the paper's temporal claims *testable* — e.g. that an async-prefetch
 //! plan shows prefetch spans concurrent with compute spans while the
 //! synchronous plan does not.
@@ -57,15 +57,6 @@ pub fn total_overlap_ns(a: &[&TraceEvent], b: &[&TraceEvent]) -> u64 {
         }
     }
     total
-}
-
-/// Critical-path length of a span set: makespan (first start to last
-/// end) minus fully idle gaps — i.e. the wall-clock a perfectly
-/// dependency-packed execution of these spans cannot beat. Equal to
-/// [`busy_ns`] when the set has no idle holes; larger sums than
-/// `makespan_ns` are impossible.
-pub fn critical_path_ns(spans: &[&TraceEvent]) -> u64 {
-    busy_ns(spans)
 }
 
 /// Wall-clock extent of a span set: last end minus first start.

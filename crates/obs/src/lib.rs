@@ -29,7 +29,7 @@
 //! [`export`] module renders as Chrome trace-event JSON (load in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) or a plain-text
 //! timeline, and the [`analysis`] module interrogates (span overlap,
-//! critical-path length, per-phase totals) so tests can *prove* overlap
+//! busy time, makespan, per-phase totals) so tests can *prove* overlap
 //! claims. [`MetricsRegistry`] unifies the per-subsystem stats snapshots
 //! into one named-counter report with text and JSON renderings.
 

@@ -1,14 +1,15 @@
-//! Seeded open-loop request generation.
+//! Seeded request generation.
 //!
-//! Arrivals are "Poisson-ish": integer inter-arrival gaps drawn
-//! uniformly from `0..=2*mean_gap` by a SplitMix64 hash of the request
-//! index, so the mean gap is exact, the trace is bit-reproducible per
-//! seed, and no floating-point transcendentals enter the determinism
-//! surface.
+//! [`open_loop`] arrivals are "Poisson-ish": integer inter-arrival gaps
+//! drawn uniformly from `0..=2*mean_gap` by a SplitMix64 hash of the
+//! request index, so the mean gap is exact, the trace is
+//! bit-reproducible per seed, and no floating-point transcendentals
+//! enter the determinism surface. [`skewed`] issues one shared-item
+//! request per tick over a hot spot, the cluster layer's trace.
 
 use crate::request::{Priority, Request, TenantId, Work};
 use crate::rng::salt;
-use memphis_matrix::hash::hash4;
+use memphis_matrix::hash::{decide1, hash1, hash4};
 use memphis_workloads::pipelines;
 
 /// Shape of a generated request stream.
@@ -31,7 +32,8 @@ pub struct StreamSpec {
     /// Every `hog_every`-th request belongs to the hog (when set).
     pub hog_every: usize,
     /// Every `pipeline_every`-th request runs a full session pipeline
-    /// instead of a shared item (0 disables pipelines).
+    /// instead of a shared item (0 disables pipelines). Consecutive
+    /// pipelines cycle through the session kinds.
     pub pipeline_every: usize,
     /// Base memory estimate in bytes; regular requests draw 1–3×,
     /// hog requests use 4×.
@@ -94,7 +96,7 @@ pub fn open_loop(seed: u64, spec: &StreamSpec) -> Vec<Request> {
         };
 
         let work = if spec.pipeline_every > 0 && i % spec.pipeline_every == 0 {
-            Work::Pipeline(pipelines::session_kind(seed, i))
+            Work::Pipeline(pipelines::session_kind(seed, i / spec.pipeline_every))
         } else if is_hog {
             let span = spec.hog_items.max(1);
             Work::SharedItem(spec.items + ((h >> 24) as usize % span))
@@ -125,9 +127,93 @@ pub fn open_loop(seed: u64, spec: &StreamSpec) -> Vec<Request> {
     out
 }
 
+/// Generates a skewed trace for `seed`: `requests` shared-item
+/// requests, one per tick, from tenants `0..tenants`. A request draws
+/// one of the `hot` leading items with probability `hot_frac` and one
+/// of the other `items - hot` otherwise. Every request is a
+/// [`Priority::Normal`] 2 KiB, one-tick request without a deadline.
+pub fn skewed(
+    seed: u64,
+    requests: usize,
+    tenants: TenantId,
+    items: usize,
+    hot: usize,
+    hot_frac: f64,
+) -> Vec<Request> {
+    assert!(tenants > 0, "need at least one tenant");
+    assert!(0 < hot && hot < items, "need hot and cold items");
+    (0..requests as u64)
+        .map(|r| {
+            let idx = if decide1(seed, salt::SKEW, r) < hot_frac {
+                hash1(seed, salt::HOT, r) % hot as u64
+            } else {
+                hot as u64 + hash1(seed, salt::COLD, r) % (items - hot) as u64
+            };
+            Request {
+                id: r,
+                tenant: (hash1(seed, salt::TENANT, r) % tenants as u64) as TenantId,
+                priority: Priority::Normal,
+                arrival: r,
+                deadline: u64::MAX,
+                mem_estimate: 2 << 10,
+                service_ticks: 1,
+                work: Work::SharedItem(idx as usize),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        /// Four consecutive pipelines reach every session kind, for any
+        /// seed and pipeline spacing.
+        #[test]
+        fn four_pipelines_reach_every_session_kind(seed in 0u64..u64::MAX) {
+            for every in [4, 6, 24, 251] {
+                let spec = StreamSpec {
+                    requests: 3 * every + 1,
+                    pipeline_every: every,
+                    ..StreamSpec::test()
+                };
+                let kinds: BTreeSet<&str> = open_loop(seed, &spec)
+                    .iter()
+                    .filter_map(|r| match r.work {
+                        Work::Pipeline(kind) => Some(kind),
+                        Work::SharedItem(_) => None,
+                    })
+                    .collect();
+                prop_assert_eq!(kinds, pipelines::SESSION_MIX.into_iter().collect());
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_traces_tick_once_per_request_and_favour_the_hot_items() {
+        let draws = |trace: Vec<Request>| -> Vec<(TenantId, usize)> {
+            trace
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    assert_eq!((r.id, r.arrival), (i as u64, i as u64));
+                    match r.work {
+                        Work::SharedItem(idx) => (r.tenant, idx),
+                        Work::Pipeline(_) => panic!("a skewed trace holds shared items only"),
+                    }
+                })
+                .collect()
+        };
+        let a = draws(skewed(42, 600, 8, 32, 4, 0.75));
+        assert_eq!(a, draws(skewed(42, 600, 8, 32, 4, 0.75)));
+        assert_ne!(a, draws(skewed(1337, 600, 8, 32, 4, 0.75)));
+        assert!(a.iter().all(|&(t, idx)| t < 8 && idx < 32));
+        let hot = a.iter().filter(|&&(_, idx)| idx < 4).count();
+        assert!((400..500).contains(&hot), "{hot} of 600 requests were hot");
+    }
 
     #[test]
     fn traces_are_reproducible_per_seed() {

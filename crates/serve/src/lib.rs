@@ -40,11 +40,10 @@ pub mod stats;
 
 pub use admission::{TenantCaps, TokenBucket};
 pub use cluster::{ClusterDispatcher, ClusterServeConfig, ClusterServeReport};
-pub use gen::{open_loop, StreamSpec};
+pub use gen::{open_loop, skewed, StreamSpec};
+pub use memphis_workloads::serve::{shared_item, shared_payload};
 pub use pressure::{PressureLevel, PressureMonitor};
 pub use queue::RequestQueue;
 pub use request::{Outcome, Priority, Request, TenantId, Work};
-pub use scheduler::{
-    shared_item, shared_payload, Scheduler, ServeConfig, ServeReport, TenantReport,
-};
+pub use scheduler::{Scheduler, ServeConfig, ServeReport, TenantReport};
 pub use stats::ServeCounters;

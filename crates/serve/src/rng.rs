@@ -13,6 +13,14 @@ pub(crate) mod salt {
     pub const ARRIVAL: u64 = 0xa771;
     /// Request shape (priority, item, size, service time).
     pub const SHAPE: u64 = 0x51a9;
+    /// Skewed-trace tenant draw.
+    pub const TENANT: u64 = 0xc1a0_0001;
+    /// Skewed-trace hot-or-cold decision.
+    pub const SKEW: u64 = 0xc1a0_0002;
+    /// Skewed-trace draw among the hot items.
+    pub const HOT: u64 = 0xc1a0_0003;
+    /// Skewed-trace draw among the cold items.
+    pub const COLD: u64 = 0xc1a0_0004;
 }
 
 #[cfg(test)]

@@ -42,23 +42,20 @@ use crate::rng::salt;
 use crate::stats::ServeCounters;
 use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::{Admit, ComputeGuard, LineageCache, MemoryPressure, Probed};
-use memphis_core::lineage::{LItem, LineageId, LineageItem};
+use memphis_core::lineage::LineageId;
 use memphis_core::stats::ReuseStatsSnapshot;
 use memphis_matrix::hash::decide4;
 use memphis_matrix::Matrix;
 use memphis_obs::cat;
 use memphis_sparksim::FaultPlan;
 use memphis_workloads::pipelines;
+use memphis_workloads::serve::{shared_item, shared_payload, SHARED_ITEM_COST};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Analytical compute cost attributed to a shared serving item (keeps
-/// proven shared entries score-favoured under eq. (1)).
-const ITEM_COST: f64 = 50.0;
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
@@ -122,17 +119,6 @@ impl ServeConfig {
             faults: FaultPlan::none(),
         }
     }
-}
-
-/// Lineage id of shared serving item `idx` (the cross-tenant reuse
-/// unit).
-pub fn shared_item(idx: usize) -> LItem {
-    LineageItem::leaf(&format!("serve/item{idx}"))
-}
-
-/// Deterministic payload of shared item `idx` (16×16 matrix, 2 KiB).
-pub fn shared_payload(idx: usize) -> Matrix {
-    memphis_workloads::data::embeddings(16, 16, 0xBEEF + idx as u64)
 }
 
 /// Per-tenant terminal accounting in the report.
@@ -683,7 +669,7 @@ impl Scheduler {
             let key = guard.key();
             let admit = Admit {
                 tenant: Some(tenant),
-                ..Admit::new(ITEM_COST, m.size_bytes())
+                ..Admit::new(SHARED_ITEM_COST, m.size_bytes())
             };
             self.cache.complete(guard, CachedObject::Matrix(m), admit);
             in_progress.remove(&key);

@@ -120,11 +120,6 @@ impl BroadcastRef {
         self.0.delivered.lock().clear();
     }
 
-    /// The driver-held value, if not yet destroyed.
-    pub fn driver_value(&self) -> Option<Matrix> {
-        self.0.value.lock().as_ref().map(|m| (**m).clone())
-    }
-
     /// Bytes currently pinned in the driver by this broadcast.
     pub fn driver_held_bytes(&self) -> usize {
         if self.0.value.lock().is_some() {

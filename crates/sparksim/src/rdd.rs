@@ -181,17 +181,6 @@ impl RddRef {
             _ => None,
         }
     }
-
-    /// True when this is a source (`parallelize`) RDD.
-    pub fn is_source(&self) -> bool {
-        matches!(self.0.kind, RddKind::Parallelize { .. })
-    }
-
-    /// Number of strong handles to this RDD node (the driver-side
-    /// "dangling reference" count MEMPHIS tracks).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.0)
-    }
 }
 
 impl std::fmt::Debug for RddRef {

@@ -4,7 +4,6 @@
 //! the seven end-to-end pipelines of §6.3.
 
 pub mod builtins;
-pub mod cluster;
 pub mod data;
 pub mod harness;
 pub mod latency;
@@ -12,7 +11,6 @@ pub mod pipelines;
 pub mod script;
 pub mod serve;
 
-pub use cluster::{run_cluster, ClusterParams, ClusterReport};
 pub use harness::{run_timed, Backends, WorkloadOutcome};
 pub use latency::{percentile, run_latency, LatencyParams, LatencyReport};
 pub use serve::{run_serve, ServeParams, ServeReport};

@@ -21,7 +21,7 @@ pub const SESSION_MIX: [&str; 4] = ["hcv", "pnmf", "hband", "tlvis"];
 
 /// The pipeline kind assigned to session `s` under `seed`.
 pub fn session_kind(seed: u64, s: usize) -> &'static str {
-    SESSION_MIX[((seed as usize) + s) % SESSION_MIX.len()]
+    SESSION_MIX[(seed.wrapping_add(s as u64) % SESSION_MIX.len() as u64) as usize]
 }
 
 /// The script-only tenant pipelines (PR 10): corpus `.dml` programs that

@@ -134,14 +134,21 @@ struct SharedLedger {
     duplicates: u64,
 }
 
-/// Deterministic payload of shared item `idx` (seeded matrix).
-fn shared_payload(idx: usize) -> Matrix {
-    crate::data::embeddings(16, 16, 0x5EED + idx as u64)
+/// Lineage id of shared serving item `idx`, the cross-tenant reuse
+/// unit of every serving driver: this harness, the memphis-serve
+/// `Scheduler` and its `ClusterDispatcher`.
+pub fn shared_item(idx: usize) -> LItem {
+    LineageItem::leaf(&format!("serve/item{idx}"))
 }
 
-fn shared_item(idx: usize) -> LItem {
-    LineageItem::leaf(&format!("serve/shared{idx}"))
+/// Deterministic payload of shared item `idx` (16×16 matrix, 2 KiB).
+pub fn shared_payload(idx: usize) -> Matrix {
+    crate::data::embeddings(16, 16, 0xBEEF + idx as u64)
 }
+
+/// Analytical compute cost the memphis-serve drivers admit a shared
+/// item at (keeps proven shared entries score-favoured under eq. (1)).
+pub const SHARED_ITEM_COST: f64 = 50.0;
 
 /// Runs one serving experiment and reports its counters.
 pub fn run_serve(p: &ServeParams) -> ServeReport {

@@ -5,28 +5,30 @@
 //! runs 42 and 1337).
 //!
 //! The contract under test: sharding, membership, and replication are
-//! placement concerns, never correctness concerns. The same workload
-//! yields bit-identical digests on 1, 2, 4, or 8 nodes and across
-//! join/leave churn; a leave never loses a proven entry no matter how
-//! tight the per-epoch move budget; and concurrent cluster-wide misses
-//! on one key coalesce on the HRW owner's in-flight marker instead of
-//! computing twice.
+//! placement concerns, never correctness concerns. The cluster
+//! scenario (`memphis_bench::golden::run_cluster_scenario`, which the
+//! bench gate and `exp_cluster` also run) serves its trace through
+//! `ClusterDispatcher` with bit-identical digests on 1, 2, 4, or 8
+//! nodes and across join/leave churn; a leave never loses a proven
+//! entry no matter how tight the per-epoch move budget; and concurrent
+//! cluster-wide misses on one key coalesce on the HRW owner's in-flight
+//! marker instead of computing twice.
 
+use memphis_bench::golden::{cluster_config, max_share_x1000, run_cluster_scenario, run_hotspot};
 use memphis_cluster::{ClusterCache, ClusterConfig, ClusterProbed, NodeId};
 use memphis_core::CachedObject;
 use memphis_integration::chaos_seed;
 use memphis_matrix::hash::{fold, DIGEST_MUL, FNV_OFFSET, GOLDEN_GAMMA};
-use memphis_workloads::cluster::{cluster_item, cluster_payload};
-use memphis_workloads::{run_cluster, ClusterParams};
+use memphis_workloads::serve::{shared_item, shared_payload};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-fn payload_bytes(o: &CachedObject) -> usize {
-    match o {
-        CachedObject::Matrix(m) => m.size_bytes(),
-        _ => std::mem::size_of::<f64>(),
-    }
+/// Item `i`'s payload as the dispatcher admits it, with its size.
+fn payload(i: usize) -> (CachedObject, usize) {
+    let m = shared_payload(i);
+    let size = m.size_bytes();
+    (CachedObject::Matrix(Arc::new(m)), size)
 }
 
 /// The deterministic origin node item `i` is requested from.
@@ -38,10 +40,8 @@ fn origin_of(cluster: &ClusterCache, i: usize) -> NodeId {
 /// deterministic origin, completing if the cluster misses.
 fn prove(cluster: &ClusterCache, i: usize) {
     let origin = origin_of(cluster, i);
-    let item = cluster_item(i);
-    if let ClusterProbed::Compute(g) = cluster.probe_or_begin_from(origin, &item) {
-        let obj = cluster_payload(i);
-        let size = payload_bytes(&obj);
+    if let ClusterProbed::Compute(g) = cluster.probe_or_begin_from(origin, &shared_item(i)) {
+        let (obj, size) = payload(i);
         cluster.complete_from(g, obj, 50.0, size);
     }
 }
@@ -67,48 +67,46 @@ fn drain(cluster: &ClusterCache, budget: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The same skewed trace yields a bit-identical digest on 1, 2, 4,
-    /// and 8 nodes, never recomputes a cached item, and every node
+    /// The cluster scenario serves bit-identical per-batch digests on
+    /// 1, 2, 4, and 8 nodes, computes exactly what its trace oracle
+    /// says, settles every move, orphans no replica, and every node
     /// count's full counter snapshot is reproducible run-over-run.
     #[test]
     fn digest_is_node_count_invariant(seed in 0u64..(1u64 << 48)) {
-        let base = run_cluster(&ClusterParams::test(1, seed));
-        prop_assert_eq!(base.recomputes, 0);
+        let base = run_cluster_scenario(cluster_config(seed, 1), false);
+        prop_assert!(base.invariants_hold(), "{:?}", base);
         for nodes in [2usize, 4, 8] {
-            let r = run_cluster(&ClusterParams::test(nodes, seed));
-            prop_assert_eq!(r.digest, base.digest);
-            prop_assert_eq!(r.recomputes, 0);
-            prop_assert_eq!(r.pending_moves, 0);
-            let again = run_cluster(&ClusterParams::test(nodes, seed));
+            let r = run_cluster_scenario(cluster_config(seed, nodes), false);
+            prop_assert_eq!(&r.digests, &base.digests);
+            prop_assert!(r.invariants_hold(), "{} nodes: {:?}", nodes, r);
+            let again = run_cluster_scenario(cluster_config(seed, nodes), false);
             prop_assert_eq!(again.stats, r.stats);
-            prop_assert_eq!(again.digest, r.digest);
+            prop_assert_eq!(&again.digests, &r.digests);
         }
     }
 }
 
 /// The chaos-seeded deterministic slice: digests also survive mid-run
-/// membership churn, and the gate configuration (churn + invalidations
-/// + replication) exercises every counter class.
+/// membership churn, and the churned run (the gate's: churn +
+/// invalidations + replication) exercises every counter class.
 #[test]
 fn churned_digest_matches_stable_digest() {
     let seed = chaos_seed();
-    let stable = run_cluster(&ClusterParams::test(4, seed));
-    let mut p = ClusterParams::test(4, seed);
-    p.churn = true;
-    let churned = run_cluster(&p);
+    let stable = run_cluster_scenario(cluster_config(seed, 4), false);
+    let churned = run_cluster_scenario(cluster_config(seed, 4), true);
     assert_eq!(
-        churned.digest, stable.digest,
+        churned.digests, stable.digests,
         "churn changed served results"
     );
-    assert_eq!(churned.recomputes, 0, "churn alone forced a recompute");
-    assert!(churned.stats.rebalance_moves > 0, "churn moved nothing");
-
-    let gate = run_cluster(&ClusterParams::gate(seed));
-    assert!(gate.stats.remote_hits > 0);
-    assert!(gate.stats.replica_hits > 0);
-    assert!(gate.stats.replica_invalidations > 0);
-    assert!(gate.stats.transfer_bytes > 0);
-    assert_eq!(gate.recomputes, 0);
+    assert!(
+        churned.invariants_hold(),
+        "churn alone forced a recompute or left the cluster unsettled: {churned:?}"
+    );
+    assert!(
+        churned.silent_classes().is_empty(),
+        "counter classes never exercised: {:?}",
+        churned.silent_classes()
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -235,11 +233,10 @@ fn leaver(cluster: &ClusterCache, n: u16) -> Option<NodeId> {
 /// Claims item `i`'s compute, runs `between`, then completes it.
 fn begin_then_complete(cluster: &ClusterCache, i: usize, between: impl FnOnce(NodeId)) {
     let origin = origin_of(cluster, i);
-    match cluster.probe_or_begin_from(origin, &cluster_item(i)) {
+    match cluster.probe_or_begin_from(origin, &shared_item(i)) {
         ClusterProbed::Compute(g) => {
             between(g.owner());
-            let obj = cluster_payload(i);
-            let size = payload_bytes(&obj);
+            let (obj, size) = payload(i);
             cluster.complete_from(g, obj, 50.0, size);
         }
         ClusterProbed::Hit { .. } => panic!("fresh item {i} was already cached"),
@@ -252,7 +249,7 @@ fn served_digest(cluster: &ClusterCache, items: &BTreeSet<usize>) -> u64 {
     let mut h = FNV_OFFSET;
     for &i in items {
         let (object, _) = cluster
-            .probe_from(origin_of(cluster, i), &cluster_item(i))
+            .probe_from(origin_of(cluster, i), &shared_item(i))
             .unwrap_or_else(|| panic!("proven item {i} was lost"));
         let fp = match &object {
             CachedObject::Matrix(m) => m.fingerprint(),
@@ -359,7 +356,7 @@ proptest! {
 #[test]
 fn remote_misses_coalesce_on_the_owner() {
     let cluster = Arc::new(ClusterCache::new(ClusterConfig::test(), &[0, 1, 2, 3]));
-    let item = cluster_item(7001);
+    let item = shared_item(7001);
     let owner = cluster.owner_of_item(&item);
     let owner_cache = cluster.node_cache(owner).expect("owner is a member");
 
@@ -390,12 +387,8 @@ fn remote_misses_coalesce_on_the_owner() {
     while owner_cache.inflight_waiters(&item) < waiters {
         std::thread::yield_now();
     }
-    let obj = cluster_payload(7001);
-    let size = payload_bytes(&obj);
-    let want = match &obj {
-        CachedObject::Matrix(m) => m.fingerprint(),
-        _ => unreachable!(),
-    };
+    let want = shared_payload(7001).fingerprint();
+    let (obj, size) = payload(7001);
     cluster.complete_from(g, obj, 50.0, size);
 
     for h in handles {
@@ -411,33 +404,25 @@ fn remote_misses_coalesce_on_the_owner() {
 // Hotspot flattening
 // ----------------------------------------------------------------------
 
-/// With one item drawing 90% of reads and no replication, its primary
-/// node serves every hot read (max share 1000 by construction);
+/// With every request for one item and no replication, the item's
+/// primary node serves every hit (max share 1000 by construction);
 /// replication must spread the load strictly below that — without
 /// changing a single served result.
 #[test]
 fn replication_flattens_a_skewed_hotspot() {
     let seed = chaos_seed();
-    let mut p = ClusterParams::test(4, seed);
-    p.hot_items = 1;
-    p.hot_frac = 0.9;
-    p.requests = 400;
-
-    p.replicas = 0;
-    let norep = run_cluster(&p);
-    p.replicas = 2;
-    let rep = run_cluster(&p);
+    let (norep, norep_hits) = run_hotspot(seed, 0);
+    let (rep, rep_hits) = run_hotspot(seed, 2);
 
     assert_eq!(norep.digest, rep.digest, "replication changed results");
     assert_eq!(
-        norep.hot_max_share_x1000, 1000,
-        "unreplicated hot reads all land on one primary"
+        max_share_x1000(&norep_hits),
+        1000,
+        "unreplicated hits all land on one primary: {norep_hits:?}"
     );
     assert!(
-        rep.hot_max_share_x1000 < norep.hot_max_share_x1000,
-        "replication failed to flatten the hotspot ({} vs {})",
-        rep.hot_max_share_x1000,
-        norep.hot_max_share_x1000
+        max_share_x1000(&rep_hits) < 1000,
+        "replication failed to flatten the hotspot: {rep_hits:?}"
     );
-    assert!(rep.stats.replica_hits > 0);
+    assert!(rep.cluster.replica_hits > 0);
 }
