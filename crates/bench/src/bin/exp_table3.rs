@@ -121,7 +121,7 @@ fn main() {
     for (name, case, tech, secs, reused, _) in &rows {
         println!("{name:<7} {case:<38} {tech:<28} {secs:.3}s, {reused} reused");
     }
-    println!("\nper-backend stats (from CacheBackend::snapshot):");
+    println!("\nper-backend stats (from LineageCache::backend_snapshots):");
     for (name, _, _, _, _, report) in &rows {
         println!("  {name}:\n{report}");
     }

@@ -642,10 +642,8 @@ pub struct RecoveryGateOutcome {
 /// configuration of the kill-at-every-sync sweep) and reports its sync
 /// points and spills, which pin the group commit of eviction passes.
 pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
-    use memphis_core::cache::backends::DiskBackend;
     use memphis_core::cache::config::CacheConfig;
     use memphis_core::cache::LineageCache;
-    use memphis_core::BackendId;
     use memphis_core::LineageItem;
     use memphis_sparksim::FaultPlan;
     use memphis_workloads::pipelines;
@@ -670,10 +668,7 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
         cfg.segment_max_bytes = 16 << 10; // several segments
         cfg.disk_faults = FaultPlan::seeded(p.seed).with_disk_corrupt_rate(p.corrupt_rate);
         let cache = LineageCache::new(cfg);
-        let disk = cache
-            .registry()
-            .downcast::<DiskBackend>(BackendId::Disk)
-            .expect("disk tier");
+        let disk = cache.disk();
         for (i, item) in items.iter().enumerate() {
             let m = payload(i);
             disk.store([(&m, item.lid, 10.0 + i as f64, 1 + (i % 3) as u64)]);
@@ -709,10 +704,7 @@ pub fn run_recovery_gate(p: &RecoveryGateParams) -> RecoveryGateOutcome {
             pipelines::hcv::run(&mut ctx, &pipelines::hcv::HcvParams::small())
                 .expect("hcv session");
         }
-        let disk = cache
-            .registry()
-            .downcast::<DiskBackend>(BackendId::Disk)
-            .expect("disk tier");
+        let disk = cache.disk();
         (
             disk.segment_store().sync_points(),
             cache.stats().local_spills,

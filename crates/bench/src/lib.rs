@@ -227,7 +227,7 @@ pub fn header(id: &str, claim: &str) {
 
 /// Prints a series of outcomes with speedups relative to the first entry,
 /// followed by the unified per-backend stats block of the last (usually
-/// MPH) configuration, sourced from `CacheBackend::snapshot`.
+/// MPH) configuration, from `LineageCache::backend_snapshots`.
 pub fn report(rows: &[WorkloadOutcome]) {
     let baseline = rows.first().map(|r| r.elapsed.as_secs_f64()).unwrap_or(1.0);
     for r in rows {

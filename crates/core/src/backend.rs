@@ -1,12 +1,11 @@
-//! First-class backend layer for the lineage cache (paper §3.3, §4).
+//! The vocabulary shared by the lineage cache's four tiers (paper §3.3,
+//! §4).
 //!
-//! The cache's probe map is backend-agnostic: every entry carries a
-//! [`BackendId`] naming the tier that owns its object. Admission,
-//! eviction, and hit-side materialization are delegated through the
-//! [`CacheBackend`] trait, and the set of tiers attached to a cache is a
-//! [`BackendRegistry`] — the driver-local store, the disk-spill tier,
-//! Spark, and the GPU are all plain registry entries, and external crates
-//! can register additional tiers without touching the cache itself.
+//! The cache's probe map is tier-agnostic: every entry carries a
+//! [`BackendId`] naming the tier that owns its object — driver memory,
+//! the driver's disk spill, Spark, or the GPU. The cache dispatches
+//! admission, hit-side materialization ([`Materialized`]) and release to
+//! that tier, and every tier reports through one [`BackendSnapshot`].
 //!
 //! Every `MAKE_SPACE` path scores victims through one shared
 //! [`EvictionPolicy`]: eq. (1) cost&size scoring for entry-granularity
@@ -14,9 +13,8 @@
 
 use crate::cache::config::CachePolicy;
 use crate::cache::entry::{CacheEntry, CachedObject};
-use crate::cache::sharded::{Inflight, ShardedEntryMap};
+use crate::cache::sharded::Inflight;
 use crate::lineage::LineageId;
-use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -32,8 +30,6 @@ pub enum BackendId {
     Spark,
     /// Simulated GPU device (managed pointers).
     Gpu,
-    /// An externally registered tier.
-    Custom(u16),
 }
 
 impl BackendId {
@@ -44,55 +40,40 @@ impl BackendId {
             BackendId::Disk => "disk",
             BackendId::Spark => "spark",
             BackendId::Gpu => "gpu",
-            BackendId::Custom(_) => "custom",
         }
     }
 }
 
 impl fmt::Display for BackendId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendId::Custom(n) => write!(f, "custom#{n}"),
-            other => f.write_str(other.as_str()),
-        }
+        f.write_str(self.as_str())
     }
 }
 
 /// The unified eviction policy: one scoring function per granularity,
-/// instantiated with per-backend parameters (sample bound).
-#[derive(Debug, Clone, Copy)]
+/// under the cache's cost model.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EvictionPolicy {
-    /// Candidates examined per eviction: like Spark's sampling-based
-    /// entry selection, scanning a bounded sample keeps eviction O(1)
-    /// amortized instead of O(entries) per insertion.
-    pub sample_limit: usize,
     /// Cost model: `Paper` scores by eq. (1) exactly; `DelayedHits`
     /// adds the TTNA-discounted aggregate-delay term.
     pub policy: CachePolicy,
 }
 
-impl Default for EvictionPolicy {
-    fn default() -> Self {
-        Self {
-            sample_limit: 64,
-            policy: CachePolicy::Paper,
-        }
-    }
-}
-
 impl EvictionPolicy {
+    /// Candidates examined per shard and eviction: like Spark's
+    /// sampling-based entry selection, scanning a bounded sample keeps
+    /// eviction O(1) amortized instead of O(entries) per insertion.
+    pub const VICTIM_SAMPLE: usize = 64;
+
     /// Half-life (in virtual-clock ticks) of the TTNA discount: an
     /// entry expected back within `TTNA_HALF_LIFE` ticks keeps more
     /// than half of its aggregate-delay credit; one expected back much
     /// later keeps almost none.
     pub const TTNA_HALF_LIFE: f64 = 64.0;
 
-    /// A policy with the default sample bound and the given cost model.
+    /// A policy under the given cost model.
     pub fn with_policy(policy: CachePolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
+        Self { policy }
     }
     /// Eq. (1) score `(r_h + r_m + r_j) * c(o) / s(o)` — smallest is
     /// evicted first.
@@ -149,29 +130,13 @@ impl EvictionPolicy {
         let c = if max_cost > 0.0 { cost / max_cost } else { 0.0 };
         ta + inv_h + c
     }
-
-    /// Selects the minimum-score victim among a bounded sample of
-    /// candidates (eq. (1) ordering). Keys are interned ids, so the
-    /// winner is returned by value — no per-candidate clone.
-    pub fn select_victim<'a, I>(&self, candidates: I) -> Option<LineageId>
-    where
-        I: Iterator<Item = (&'a LineageId, &'a CacheEntry)>,
-    {
-        candidates
-            .take(self.sample_limit)
-            .min_by(|(_, a), (_, b)| {
-                self.score(a)
-                    .partial_cmp(&self.score(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(k, _)| *k)
-    }
 }
 
 /// One shard of the unified probe map: lineage keys to entries (any
 /// backend) plus the shard's in-flight computation markers. Shards are
 /// hash-partitioned and independently locked inside
-/// [`ShardedEntryMap`]; the logical clock is global to the sharded map.
+/// [`ShardedEntryMap`](crate::cache::sharded::ShardedEntryMap); the
+/// logical clock is global to the sharded map.
 #[derive(Default)]
 pub struct EntryMap {
     /// All entries, placeholders included.
@@ -188,7 +153,7 @@ impl EntryMap {
     }
 }
 
-/// Outcome of a hit-side [`CacheBackend::materialize`].
+/// Outcome of a tier's hit-side materialization.
 #[derive(Debug)]
 pub enum Materialized {
     /// The object is reusable (backend resources acquired as needed).
@@ -198,8 +163,8 @@ pub enum Materialized {
     Stale,
 }
 
-/// Point-in-time report of one backend, aggregated by the registry into
-/// the unified per-backend stats report.
+/// Point-in-time report of one tier; the cache gathers one per attached
+/// tier into the unified per-backend stats report.
 #[derive(Debug, Clone)]
 pub struct BackendSnapshot {
     /// The reporting tier.
@@ -208,7 +173,7 @@ pub struct BackendSnapshot {
     pub used: usize,
     /// Byte budget (`usize::MAX` = unbounded).
     pub budget: usize,
-    /// Entries owned in the probe map (filled by the cache; a backend
+    /// Entries owned in the probe map (filled by the cache; a tier
     /// alone cannot see the map).
     pub entries: usize,
     /// Backend-specific counters (spills, recycles, jobs, ...).
@@ -237,138 +202,14 @@ impl fmt::Display for BackendSnapshot {
     }
 }
 
-/// One cache tier: admission, hit-side materialization, eviction, and
-/// accounting for the entries it owns.
-///
-/// Methods receive the *sharded* probe map with **no shard lock held**:
-/// implementations lock the shards they touch (one at a time — see the
-/// lock discipline in [`crate::cache::sharded`]) and may take their own
-/// accounting locks under a shard lock, never the reverse order. The
-/// registry is passed so tiers can cooperate — e.g. the local tier
-/// spills into the disk tier, and the disk tier promotes hot entries
-/// back through the local tier. Pinned and in-flight entries are never
-/// eviction victims: pinned entries are filtered by victim selection,
-/// and in-flight markers live outside the entry map entirely.
-pub trait CacheBackend: Send + Sync {
-    /// The tier this backend implements.
-    fn id(&self) -> BackendId;
-
-    /// MAKE_SPACE + admission of `entry` (not yet inserted in the map).
-    /// The backend evicts its own victims as needed, updates accounting,
-    /// performs side effects (persist, mark-cached), and may adjust
-    /// `entry.size`. Returns false to reject the object entirely.
-    fn put(
-        &self,
-        map: &ShardedEntryMap,
-        reg: &BackendRegistry,
-        key: LineageId,
-        entry: &mut CacheEntry,
-    ) -> bool;
-
-    /// Hit-side conversion of the stored object into a reusable one:
-    /// disk read (and optional promotion), RDD materialization checks,
-    /// GPU pointer acquisition. Updates the entry's reuse counters and
-    /// the per-backend hit statistics.
-    fn materialize(
-        &self,
-        map: &ShardedEntryMap,
-        reg: &BackendRegistry,
-        key: LineageId,
-    ) -> Materialized;
-
-    /// Evicts this tier's victims (eq. (1)/(2) order) until at least
-    /// `bytes` are freed or no victims remain. `skip` protects the entry
-    /// currently being admitted/promoted. Returns bytes freed.
-    fn evict_until(
-        &self,
-        map: &ShardedEntryMap,
-        reg: &BackendRegistry,
-        bytes: usize,
-        skip: Option<LineageId>,
-    ) -> usize;
-
-    /// Bytes currently accounted to this tier.
-    fn used(&self) -> usize;
-
-    /// Byte budget of this tier (`usize::MAX` = unbounded).
-    fn budget(&self) -> usize;
-
-    /// Uniform stats report (the cache fills `entries`).
-    fn snapshot(&self) -> BackendSnapshot;
-
-    /// Releases backend resources held by an entry leaving the cache
-    /// (unpersist, unmark, spill-file removal) and reverses accounting.
-    fn release(&self, entry: &CacheEntry);
-
-    /// Downcast support for backend-concrete accessors.
-    fn as_any(&self) -> &dyn Any;
-}
-
-/// The ordered set of tiers attached to one cache.
-#[derive(Default, Clone)]
-pub struct BackendRegistry {
-    backends: Vec<Arc<dyn CacheBackend>>,
-}
-
-impl BackendRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a tier, replacing any previous tier with the same id.
-    pub fn register(&mut self, backend: Arc<dyn CacheBackend>) {
-        let id = backend.id();
-        self.backends.retain(|b| b.id() != id);
-        self.backends.push(backend);
-    }
-
-    /// Looks a tier up by id.
-    pub fn get(&self, id: BackendId) -> Option<&Arc<dyn CacheBackend>> {
-        self.backends.iter().find(|b| b.id() == id)
-    }
-
-    /// True when a tier with this id is registered.
-    pub fn contains(&self, id: BackendId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Iterates the registered tiers in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn CacheBackend>> {
-        self.backends.iter()
-    }
-
-    /// Downcasts a registered tier to its concrete type.
-    pub fn downcast<T: 'static>(&self, id: BackendId) -> Option<&T> {
-        self.get(id).and_then(|b| b.as_any().downcast_ref::<T>())
-    }
-
-    /// Aggregates every tier's [`CacheBackend::snapshot`] into one
-    /// per-backend report (entry counts left at zero; the cache fills
-    /// them from the probe map).
-    pub fn snapshots(&self) -> Vec<BackendSnapshot> {
-        self.backends.iter().map(|b| b.snapshot()).collect()
-    }
-}
-
-impl fmt::Debug for BackendRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.backends.iter().map(|b| b.id()))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage::LineageItem;
 
     #[test]
     fn backend_id_tags_and_display() {
         assert_eq!(BackendId::Local.as_str(), "local");
         assert_eq!(BackendId::Spark.as_str(), "spark");
-        assert_eq!(BackendId::Custom(3).to_string(), "custom#3");
         assert_eq!(BackendId::Gpu.to_string(), "gpu");
     }
 
@@ -396,81 +237,5 @@ mod tests {
         assert!(stale_tall_cheap < fresh_short_costly);
         // Degenerate clocks/costs do not divide by zero.
         assert!(EvictionPolicy::gpu_score(0, 0, 0, 0.0, 0.0).is_finite());
-    }
-
-    #[test]
-    fn select_victim_picks_min_score() {
-        let policy = EvictionPolicy::default();
-        let mut map = EntryMap::new();
-        for (name, cost) in [("a", 50.0), ("b", 2.0), ("c", 9.0)] {
-            let item = LineageItem::leaf(name);
-            let e = CacheEntry::cached(&item, CachedObject::Scalar(0.0), cost, 16);
-            map.entries.insert(item.lid, e);
-        }
-        let victim = policy.select_victim(map.entries.iter()).expect("victim");
-        let e = &map.entries[&victim];
-        assert_eq!(e.compute_cost, 2.0, "cheapest entry evicted first");
-    }
-
-    #[test]
-    fn registry_replaces_same_id_and_downcasts() {
-        struct Dummy(u64);
-        impl CacheBackend for Dummy {
-            fn id(&self) -> BackendId {
-                BackendId::Custom(1)
-            }
-            fn put(
-                &self,
-                _: &ShardedEntryMap,
-                _: &BackendRegistry,
-                _: LineageId,
-                _: &mut CacheEntry,
-            ) -> bool {
-                true
-            }
-            fn materialize(
-                &self,
-                _: &ShardedEntryMap,
-                _: &BackendRegistry,
-                _: LineageId,
-            ) -> Materialized {
-                Materialized::Stale
-            }
-            fn evict_until(
-                &self,
-                _: &ShardedEntryMap,
-                _: &BackendRegistry,
-                _: usize,
-                _: Option<LineageId>,
-            ) -> usize {
-                0
-            }
-            fn used(&self) -> usize {
-                0
-            }
-            fn budget(&self) -> usize {
-                usize::MAX
-            }
-            fn snapshot(&self) -> BackendSnapshot {
-                BackendSnapshot {
-                    id: self.id(),
-                    used: 0,
-                    budget: usize::MAX,
-                    entries: 0,
-                    detail: vec![],
-                }
-            }
-            fn release(&self, _: &CacheEntry) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let mut reg = BackendRegistry::new();
-        reg.register(Arc::new(Dummy(1)));
-        reg.register(Arc::new(Dummy(2)));
-        assert_eq!(reg.iter().count(), 1, "same id replaced");
-        assert_eq!(reg.downcast::<Dummy>(BackendId::Custom(1)).unwrap().0, 2);
-        assert!(!reg.contains(BackendId::Gpu));
-        assert!(reg.snapshots().len() == 1);
     }
 }

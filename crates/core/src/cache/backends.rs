@@ -1,11 +1,12 @@
-//! The four built-in cache tiers as [`CacheBackend`] implementations:
-//! driver-local memory, driver-local disk spill, Spark, and GPU.
+//! The driver's two cache tiers: driver-local memory and its disk spill.
+//! (The Spark tier lives in [`super::spark`], the GPU tier is the
+//! [`GpuMemoryManager`](super::gpu::GpuMemoryManager).)
 //!
-//! Each tier owns its byte accounting behind its own lock and cooperates
-//! with the others through the registry: the local tier spills cold
-//! matrices into the disk tier, the disk tier promotes hot matrices back
-//! through the local tier, and the GPU's device-to-host eviction
-//! re-admits matrices through the local tier as well.
+//! Each tier owns its byte accounting behind its own lock. The two
+//! cooperate by taking each other as an argument: the local tier spills
+//! cold matrices into the disk tier, the disk tier promotes hot matrices
+//! back through the local tier, and the GPU's device-to-host eviction
+//! and recovery rehydration re-admit matrices through the local tier.
 //!
 //! Tiers receive the *sharded* probe map with no shard lock held and
 //! lock the shards they touch themselves (at most one at a time).
@@ -15,22 +16,16 @@
 //! entry between selection and eviction. Pinned entries are filtered out
 //! of victim selection entirely.
 
-use crate::backend::{
-    BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EvictionPolicy, Materialized,
-};
-use crate::cache::config::{CacheConfig, CachePolicy, MATERIALIZE_AFTER_MISSES};
+use crate::backend::{BackendId, BackendSnapshot, EvictionPolicy, Materialized};
+use crate::cache::config::{CacheConfig, CachePolicy};
 use crate::cache::durable::{DurableRecord, RecoveredMeta, SegmentStore};
 use crate::cache::entry::{CacheEntry, CachedObject};
-use crate::cache::gpu::GpuMemoryManager;
 use crate::cache::sharded::ShardedEntryMap;
-use crate::cache::spark::SparkBackend;
 use crate::lineage::{self, LineageId};
 use crate::stats::ReuseStats;
 use memphis_matrix::io as mio;
 use memphis_matrix::Matrix;
-use memphis_sparksim::StorageLevel;
 use parking_lot::Mutex;
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -66,16 +61,12 @@ pub struct LocalBackend {
     used: Mutex<usize>,
     tenants: Mutex<TenantLedger>,
     stats: Arc<ReuseStats>,
-    spill: Option<Arc<DiskBackend>>,
 }
 
 impl LocalBackend {
-    /// Creates the tier; `spill` receives evicted-but-proven entries.
-    pub fn new(
-        config: &CacheConfig,
-        stats: Arc<ReuseStats>,
-        spill: Option<Arc<DiskBackend>>,
-    ) -> Self {
+    /// Creates the tier. Evicted-but-proven matrices spill into the disk
+    /// tier each eviction pass is handed.
+    pub(crate) fn new(config: &CacheConfig, stats: Arc<ReuseStats>) -> Self {
         Self {
             budget: config.local_budget,
             spill_enabled: config.spill_to_disk,
@@ -83,7 +74,6 @@ impl LocalBackend {
             used: Mutex::new(0),
             tenants: Mutex::new(TenantLedger::default()),
             stats,
-            spill,
         }
     }
 
@@ -192,7 +182,7 @@ impl LocalBackend {
             // disk; unproven entries are dropped — avoiding disk-write
             // storms when a stream of never-reused intermediates thrashes
             // the budget (the robustness concern of §6.2).
-            if self.spill_enabled && e.hits > 0 && self.spill.is_some() {
+            if self.spill_enabled && e.hits > 0 {
                 // The victim moves to the disk tier with its matrix still
                 // attached until the pass commits: a concurrent probe is
                 // served from memory, and no scan selects it again.
@@ -223,8 +213,15 @@ impl LocalBackend {
     /// sequence split across lock acquisitions would let two concurrent
     /// admissions each observe enough room and jointly overshoot the
     /// budget; the combined reserve cannot. Returns false (charging
-    /// nothing) when eviction runs out of victims first.
-    fn try_reserve(&self, map: &ShardedEntryMap, size: usize, skip: Option<LineageId>) -> bool {
+    /// nothing) when eviction runs out of victims first. Spill victims
+    /// are committed to `disk`.
+    fn try_reserve(
+        &self,
+        map: &ShardedEntryMap,
+        disk: &DiskBackend,
+        size: usize,
+        skip: Option<LineageId>,
+    ) -> bool {
         if size > self.budget {
             return false;
         }
@@ -251,22 +248,21 @@ impl LocalBackend {
                 break false;
             }
         };
-        self.finish_pass(map, spills);
+        self.finish_pass(map, disk, spills);
         reserved
     }
 
-    /// Ends an eviction pass: commits its spill victims to the disk tier
-    /// in one group commit (one segment fsync, one manifest fsync), then
+    /// Ends an eviction pass: commits its spill victims to `disk` in one
+    /// group commit (one segment fsync, one manifest fsync), then
     /// points each victim at its durable record — or, when the commit
     /// fails, drops it as a failed spill is dropped. A victim that left
     /// the disk tier meanwhile (removed, promoted, re-admitted) has its
     /// fresh record discarded. A pass without spill victims returns at
     /// once.
-    fn finish_pass(&self, map: &ShardedEntryMap, spills: Vec<Spill>) {
+    fn finish_pass(&self, map: &ShardedEntryMap, disk: &DiskBackend, spills: Vec<Spill>) {
         if spills.is_empty() {
             return;
         }
-        let Some(disk) = &self.spill else { return };
         let committed = disk.store(spills.iter().map(|s| (&*s.matrix, s.key, s.cost, s.hits)));
         for s in spills {
             let hash = s.key.content_hash();
@@ -300,10 +296,16 @@ impl LocalBackend {
     /// device-to-host eviction): reserves space, rewrites the entry to
     /// the local tier. Returns false (releasing the reservation) when
     /// the matrix does not fit or the entry vanished meanwhile. Called
-    /// with no shard lock held.
-    pub fn admit_existing(&self, map: &ShardedEntryMap, key: LineageId, m: Arc<Matrix>) -> bool {
+    /// with no shard lock held; the space it makes spills into `disk`.
+    pub(crate) fn admit_existing(
+        &self,
+        map: &ShardedEntryMap,
+        disk: &DiskBackend,
+        key: LineageId,
+        m: Arc<Matrix>,
+    ) -> bool {
         let size = m.size_bytes();
-        if !self.try_reserve(map, size, Some(key)) {
+        if !self.try_reserve(map, disk, size, Some(key)) {
             return false;
         }
         let mut shard = map.lock_of(key);
@@ -321,18 +323,14 @@ impl LocalBackend {
         self.charge_tenant(tenant, size);
         true
     }
-}
 
-impl CacheBackend for LocalBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Local
-    }
-
-    fn put(
+    /// MAKE_SPACE + admission of a matrix or scalar entry (not yet in the
+    /// map), sizing it and charging its tenant. Returns false for any
+    /// other object, or when the matrix cannot be made to fit.
+    pub(crate) fn put(
         &self,
         map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        _key: LineageId,
+        disk: &DiskBackend,
         entry: &mut CacheEntry,
     ) -> bool {
         match &entry.object {
@@ -340,7 +338,7 @@ impl CacheBackend for LocalBackend {
                 let size = m.size_bytes();
                 // Oversized, or eviction cannot free enough (e.g. the
                 // budget is filled by pinned entries): skip caching.
-                if !self.try_reserve(map, size, None) {
+                if !self.try_reserve(map, disk, size, None) {
                     return false;
                 }
                 entry.size = size;
@@ -355,12 +353,8 @@ impl CacheBackend for LocalBackend {
         }
     }
 
-    fn materialize(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        key: LineageId,
-    ) -> Materialized {
+    /// Hit-side reuse of a resident matrix or scalar.
+    pub(crate) fn materialize(&self, map: &ShardedEntryMap, key: LineageId) -> Materialized {
         let mut shard = map.lock_of(key);
         let Some(e) = shard.entries.get_mut(&key) else {
             return Materialized::Stale;
@@ -386,37 +380,16 @@ impl CacheBackend for LocalBackend {
         Materialized::Hit(object)
     }
 
-    fn evict_until(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        bytes: usize,
-        skip: Option<LineageId>,
-    ) -> usize {
-        let mut spills = Vec::new();
-        let mut freed = 0;
-        while freed < bytes {
-            match self.evict_one(map, skip, &mut spills) {
-                Some(n) => freed += n,
-                None => break,
-            }
-        }
-        self.finish_pass(map, spills);
-        freed
-    }
-
-    fn used(&self) -> usize {
+    /// Bytes of driver memory charged to cached matrices.
+    pub(crate) fn used(&self) -> usize {
         *self.used.lock()
     }
 
-    fn budget(&self) -> usize {
-        self.budget
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
+    /// The tier's stats report.
+    pub(crate) fn snapshot(&self) -> BackendSnapshot {
         let s = self.stats.snapshot();
         BackendSnapshot {
-            id: self.id(),
+            id: BackendId::Local,
             used: self.used(),
             budget: self.budget,
             entries: 0,
@@ -432,7 +405,8 @@ impl CacheBackend for LocalBackend {
         }
     }
 
-    fn release(&self, entry: &CacheEntry) {
+    /// Reverses a departing matrix entry's byte and tenant accounting.
+    pub(crate) fn release(&self, entry: &CacheEntry) {
         if let Some(CachedObject::Matrix(m)) = &entry.object {
             let size = m.size_bytes();
             {
@@ -442,18 +416,13 @@ impl CacheBackend for LocalBackend {
             self.credit_tenant(entry.tenant, size);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ----------------------------------------------------------------------
 // Disk (durable log-structured segment store)
 // ----------------------------------------------------------------------
 
-/// Driver-local disk tier over the crash-safe
-/// [`SegmentStore`]: spilled
+/// Driver-local disk tier over the crash-safe [`SegmentStore`]: spilled
 /// matrices become CRC-checksummed records keyed by lineage
 /// `content_hash` (with their serialized lineage embedded for
 /// re-interning), committed through an append-only manifest, read back
@@ -462,7 +431,6 @@ impl CacheBackend for LocalBackend {
 /// manifest and hands verified entry metadata to the cache.
 pub struct DiskBackend {
     store: SegmentStore,
-    policy: EvictionPolicy,
     /// Persistent stores keep their directory on drop; classic
     /// cache-unique spill directories are removed.
     persistent: bool,
@@ -486,7 +454,6 @@ impl DiskBackend {
         let used = recovered.iter().map(|r| r.matrix_len).sum();
         Self {
             store,
-            policy: EvictionPolicy::with_policy(config.policy),
             persistent: config.persist_dir.is_some(),
             used: Mutex::new(used),
             recovered: Mutex::new(recovered),
@@ -552,39 +519,13 @@ impl DiskBackend {
         let mut used = self.used.lock();
         *used = used.saturating_sub(size);
     }
-}
 
-impl CacheBackend for DiskBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Disk
-    }
-
-    fn put(
-        &self,
-        _map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        _key: LineageId,
-        entry: &mut CacheEntry,
-    ) -> bool {
-        // Direct admission of an already-committed record. Reject hashes
-        // the store does not hold (a dangling admission would poison
-        // every later probe with a read failure).
-        if let Some(CachedObject::Disk(hash)) = &entry.object {
-            if !self.store.contains(*hash) {
-                ReuseStats::inc(&self.stats.disk_io_errors);
-                return false;
-            }
-            *self.used.lock() += entry.size;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn materialize(
+    /// Hit-side read of a spilled matrix, promoted back into `local` when
+    /// it fits there.
+    pub(crate) fn materialize(
         &self,
         map: &ShardedEntryMap,
-        reg: &BackendRegistry,
+        local: &LocalBackend,
         key: LineageId,
     ) -> Materialized {
         let (hash, size) = {
@@ -622,11 +563,7 @@ impl CacheBackend for DiskBackend {
                     }
                 });
                 ReuseStats::inc(&self.stats.hits_disk);
-                let promoted = reg
-                    .downcast::<LocalBackend>(BackendId::Local)
-                    .map(|local| local.admit_existing(map, key, m.clone()))
-                    .unwrap_or(false);
-                if promoted {
+                if local.admit_existing(map, self, key, m.clone()) {
                     self.discard(hash, size);
                 }
                 Materialized::Hit(CachedObject::Matrix(m))
@@ -658,49 +595,16 @@ impl CacheBackend for DiskBackend {
         }
     }
 
-    fn evict_until(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        bytes: usize,
-        skip: Option<LineageId>,
-    ) -> usize {
-        let mut freed = 0;
-        while freed < bytes {
-            let victim = map.select_victim(&self.policy, |k, e| {
-                e.backend == BackendId::Disk && skip.map(|s| k != s).unwrap_or(true)
-            });
-            let Some(k) = victim else { break };
-            let removed = {
-                let mut shard = map.lock_of(k);
-                match shard.entries.get(&k) {
-                    Some(e) if e.backend == BackendId::Disk && !e.pinned => {
-                        shard.entries.remove(&k)
-                    }
-                    _ => None, // victim changed hands meanwhile: reselect
-                }
-            };
-            let Some(e) = removed else { continue };
-            if let Some(CachedObject::Disk(hash)) = &e.object {
-                self.discard(*hash, e.size);
-            }
-            freed += e.size;
-        }
-        freed
-    }
-
-    fn used(&self) -> usize {
+    /// Bytes of committed spill records the tier accounts.
+    pub fn used(&self) -> usize {
         *self.used.lock()
     }
 
-    fn budget(&self) -> usize {
-        usize::MAX
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
+    /// The tier's stats report.
+    pub(crate) fn snapshot(&self) -> BackendSnapshot {
         let s = self.stats.snapshot();
         BackendSnapshot {
-            id: self.id(),
+            id: BackendId::Disk,
             used: self.used(),
             budget: usize::MAX,
             entries: 0,
@@ -716,14 +620,11 @@ impl CacheBackend for DiskBackend {
         }
     }
 
-    fn release(&self, entry: &CacheEntry) {
+    /// Tombstones a departing entry's committed record.
+    pub(crate) fn release(&self, entry: &CacheEntry) {
         if let Some(CachedObject::Disk(hash)) = &entry.object {
             self.discard(*hash, entry.size);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -741,351 +642,6 @@ impl Drop for DiskBackend {
     }
 }
 
-// ----------------------------------------------------------------------
-// Spark (distributed RDDs)
-// ----------------------------------------------------------------------
-
-/// Follow-up work a Spark materialization schedules for after the shard
-/// lock is released (lazy GC and async `count()` both take cluster
-/// locks, so they must not run under a shard lock).
-enum SparkFollowUp {
-    None,
-    LazyGc(memphis_sparksim::RddRef),
-    Trigger(memphis_sparksim::RddRef),
-}
-
-/// Spark tier: RDD handles reused even while unmaterialized, delayed
-/// `persist()`, eq. (1) budget eviction via `unpersist`, asynchronous
-/// `count()` materialization, and lazy GC of dangling references.
-pub struct SparkTier {
-    backend: SparkBackend,
-    policy: EvictionPolicy,
-    est: Mutex<usize>,
-    stats: Arc<ReuseStats>,
-}
-
-impl SparkTier {
-    /// Wraps an attached cluster.
-    pub fn new(backend: SparkBackend, config: &CacheConfig, stats: Arc<ReuseStats>) -> Self {
-        Self {
-            backend,
-            policy: EvictionPolicy::with_policy(config.policy),
-            est: Mutex::new(0),
-            stats,
-        }
-    }
-
-    /// The wrapped Spark attachment (cluster handle + reuse budget).
-    pub fn spark(&self) -> &SparkBackend {
-        &self.backend
-    }
-
-    /// Evicts the lowest-score stored RDD entry (eq. 1). Returns bytes
-    /// freed, or `None` when none exist.
-    fn evict_worst(&self, map: &ShardedEntryMap) -> Option<usize> {
-        loop {
-            let victim = map.select_victim(&self.policy, |_, e| e.backend == BackendId::Spark)?;
-            let e = {
-                let mut shard = map.lock_of(victim);
-                match shard.entries.get(&victim) {
-                    Some(e) if e.backend == BackendId::Spark && !e.pinned => {
-                        shard.entries.remove(&victim)
-                    }
-                    _ => None, // victim changed hands meanwhile: reselect
-                }
-            };
-            let Some(e) = e else { continue };
-            {
-                let mut est = self.est.lock();
-                *est = est.saturating_sub(e.size);
-            }
-            if let Some(CachedObject::Rdd { rdd, .. }) = &e.object {
-                self.backend.sc.unpersist(rdd);
-                self.backend.sc.cleanup_shuffle(rdd);
-            }
-            ReuseStats::inc(&self.stats.rdd_unpersists);
-            memphis_obs::instant_val(
-                memphis_obs::cat::CACHE,
-                "rdd_unpersist",
-                "bytes",
-                e.size as u64,
-            );
-            return Some(e.size);
-        }
-    }
-
-    /// Lazy garbage collection from a freshly materialized cached RDD.
-    /// Called with no shard lock held; scans shards one at a time.
-    fn run_lazy_gc(&self, map: &ShardedEntryMap, root: &memphis_sparksim::RddRef) {
-        // Protected sets: RDDs referenced by any entry; broadcasts
-        // reachable from unmaterialized RDD entries.
-        let mut cached_rdds: HashSet<u64> = HashSet::new();
-        let mut protected_bc: HashSet<u64> = HashSet::new();
-        map.for_each(|_, e| {
-            if let Some(CachedObject::Rdd { rdd: r, .. }) = &e.object {
-                cached_rdds.insert(r.id().0);
-                if !self.backend.sc.is_fully_cached(r) {
-                    protected_bc.extend(SparkBackend::reachable_broadcasts(r));
-                }
-            }
-        });
-        self.backend
-            .lazy_gc(root, &cached_rdds, &protected_bc, &self.stats);
-    }
-}
-
-impl CacheBackend for SparkTier {
-    fn id(&self) -> BackendId {
-        BackendId::Spark
-    }
-
-    fn put(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        _key: LineageId,
-        entry: &mut CacheEntry,
-    ) -> bool {
-        let Some(CachedObject::Rdd { rdd, .. }) = &entry.object else {
-            return false;
-        };
-        // Eq. (1) budget eviction before persisting a new RDD.
-        while *self.est.lock() + entry.size > self.backend.reuse_budget {
-            if self.evict_worst(map).is_none() {
-                break;
-            }
-        }
-        rdd.persist(StorageLevel::MemoryAndDisk);
-        *self.est.lock() += entry.size;
-        true
-    }
-
-    fn materialize(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        key: LineageId,
-    ) -> Materialized {
-        let (object, follow_up) = {
-            let mut shard = map.lock_of(key);
-            let Some(e) = shard.entries.get_mut(&key) else {
-                return Materialized::Stale;
-            };
-            let Some(CachedObject::Rdd { rdd, rows, cols }) = e.object.clone() else {
-                return Materialized::Stale;
-            };
-            let follow_up = if self.backend.sc.is_fully_cached(&rdd) {
-                e.hits += 1;
-                let gc_pending = !e.gc_done;
-                e.gc_done = true;
-                if gc_pending {
-                    SparkFollowUp::LazyGc(rdd.clone())
-                } else {
-                    SparkFollowUp::None
-                }
-            } else {
-                // Reuse of an unmaterialized RDD: compute sharing still
-                // applies, but count the miss toward async
-                // materialization.
-                e.misses += 1;
-                let trigger = !e.materialize_triggered && e.misses >= MATERIALIZE_AFTER_MISSES;
-                if trigger {
-                    e.materialize_triggered = true;
-                    SparkFollowUp::Trigger(rdd.clone())
-                } else {
-                    SparkFollowUp::None
-                }
-            };
-            (CachedObject::Rdd { rdd, rows, cols }, follow_up)
-        };
-        ReuseStats::inc(&self.stats.hits_rdd);
-        match follow_up {
-            SparkFollowUp::LazyGc(rdd) => self.run_lazy_gc(map, &rdd),
-            SparkFollowUp::Trigger(rdd) => self.backend.trigger_materialize(&rdd, &self.stats),
-            SparkFollowUp::None => {}
-        }
-        Materialized::Hit(object)
-    }
-
-    fn evict_until(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        bytes: usize,
-        _skip: Option<LineageId>,
-    ) -> usize {
-        let mut freed = 0;
-        while freed < bytes {
-            match self.evict_worst(map) {
-                Some(n) => freed += n,
-                None => break,
-            }
-        }
-        freed
-    }
-
-    fn used(&self) -> usize {
-        *self.est.lock()
-    }
-
-    fn budget(&self) -> usize {
-        self.backend.reuse_budget
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        let s = self.stats.snapshot();
-        let mut detail = vec![
-            ("hits", s.hits_rdd),
-            ("unpersists", s.rdd_unpersists),
-            ("mat_jobs", s.rdd_materialize_jobs),
-            ("gc_rdds", s.gc_rdds_released),
-            ("gc_bcasts", s.gc_broadcasts_destroyed),
-            ("gc_bcast_unpersists", s.gc_broadcasts_unpersisted),
-        ];
-        detail.extend(self.backend.sc.stats().pairs());
-        BackendSnapshot {
-            id: self.id(),
-            used: self.used(),
-            budget: self.backend.reuse_budget,
-            entries: 0,
-            detail,
-        }
-    }
-
-    fn release(&self, entry: &CacheEntry) {
-        if let Some(CachedObject::Rdd { rdd, .. }) = &entry.object {
-            self.backend.sc.unpersist(rdd);
-            self.backend.sc.cleanup_shuffle(rdd);
-            let mut est = self.est.lock();
-            *est = est.saturating_sub(entry.size);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ----------------------------------------------------------------------
-// GPU (device pointers)
-// ----------------------------------------------------------------------
-
-/// GPU tier: cached device pointers managed by the unified
-/// [`GpuMemoryManager`] (Live/Free lists, recycling, eq. (2) scoring).
-pub struct GpuTier {
-    mgr: Arc<GpuMemoryManager>,
-    stats: Arc<ReuseStats>,
-}
-
-impl GpuTier {
-    /// Wraps a memory manager.
-    pub fn new(mgr: Arc<GpuMemoryManager>, stats: Arc<ReuseStats>) -> Self {
-        Self { mgr, stats }
-    }
-
-    /// The unified GPU memory manager.
-    pub fn manager(&self) -> &Arc<GpuMemoryManager> {
-        &self.mgr
-    }
-}
-
-impl CacheBackend for GpuTier {
-    fn id(&self) -> BackendId {
-        BackendId::Gpu
-    }
-
-    fn put(
-        &self,
-        _map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        key: LineageId,
-        entry: &mut CacheEntry,
-    ) -> bool {
-        let Some(CachedObject::Gpu { ptr, .. }) = &entry.object else {
-            return false;
-        };
-        self.mgr.mark_cached(*ptr, key);
-        entry.size = ptr.size;
-        true
-    }
-
-    fn materialize(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        key: LineageId,
-    ) -> Materialized {
-        let mut shard = map.lock_of(key);
-        let Some(e) = shard.entries.get_mut(&key) else {
-            return Materialized::Stale;
-        };
-        let Some(CachedObject::Gpu { ptr, rows, cols }) = e.object.clone() else {
-            return Materialized::Stale;
-        };
-        if self.mgr.acquire(ptr) {
-            e.hits += 1;
-            drop(shard);
-            ReuseStats::inc(&self.stats.hits_gpu);
-            Materialized::Hit(CachedObject::Gpu { ptr, rows, cols })
-        } else {
-            // Pointer no longer managed — stale entry.
-            Materialized::Stale
-        }
-    }
-
-    fn evict_until(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        bytes: usize,
-        _skip: Option<LineageId>,
-    ) -> usize {
-        let (freed, invalidated) = self.mgr.evict_bytes(bytes);
-        for k in invalidated {
-            // Pointers are already freed: remove without release.
-            map.remove_entry(k);
-        }
-        freed
-    }
-
-    fn used(&self) -> usize {
-        self.mgr.device().mem_used()
-    }
-
-    fn budget(&self) -> usize {
-        self.mgr.device().capacity()
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        let s = self.stats.snapshot();
-        let mut detail = vec![
-            ("hits", s.hits_gpu),
-            ("recycled", s.gpu_recycled),
-            ("reused", s.gpu_reused),
-            ("freed", s.gpu_freed),
-            ("to_host", s.gpu_evicted_to_host),
-        ];
-        detail.extend(self.mgr.device().stats().pairs());
-        BackendSnapshot {
-            id: self.id(),
-            used: self.used(),
-            budget: self.mgr.device().capacity(),
-            entries: 0,
-            detail,
-        }
-    }
-
-    fn release(&self, entry: &CacheEntry) {
-        if let Some(CachedObject::Gpu { ptr, .. }) = &entry.object {
-            self.mgr.unmark_cached(*ptr);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1099,7 +655,7 @@ mod tests {
     fn pass_of(
         names: &[&str],
         faults: FaultPlan,
-    ) -> (LocalBackend, Arc<DiskBackend>, ShardedEntryMap, Vec<Spill>) {
+    ) -> (LocalBackend, DiskBackend, ShardedEntryMap, Vec<Spill>) {
         let mut cfg = CacheConfig::test();
         cfg.spill_dir = std::env::temp_dir().join(format!(
             "memphis_finish_pass_{}_{}",
@@ -1108,8 +664,8 @@ mod tests {
         ));
         cfg.disk_faults = faults;
         let stats = Arc::new(ReuseStats::default());
-        let disk = Arc::new(DiskBackend::new(&cfg, stats.clone()));
-        let local = LocalBackend::new(&cfg, stats, Some(disk.clone()));
+        let disk = DiskBackend::new(&cfg, stats.clone());
+        let local = LocalBackend::new(&cfg, stats);
         let map = ShardedEntryMap::new(4);
         let mut spills = Vec::new();
         for (i, name) in names.iter().enumerate() {
@@ -1136,7 +692,7 @@ mod tests {
         let size = spills[0].matrix.size_bytes();
         map.remove_entry(gone);
         let syncs = disk.segment_store().sync_points();
-        local.finish_pass(&map, spills);
+        local.finish_pass(&map, &disk, spills);
         assert_eq!(disk.segment_store().sync_points(), syncs + 2, "one commit");
         let object = map.with_entry(kept, |e| e.and_then(|e| e.object.clone()));
         assert!(matches!(object, Some(CachedObject::Disk(h)) if h == kept.content_hash()));
@@ -1153,7 +709,7 @@ mod tests {
             FaultPlan::seeded(5).with_disk_kill_at_sync(1),
         );
         let keys: Vec<LineageId> = spills.iter().map(|s| s.key).collect();
-        local.finish_pass(&map, spills);
+        local.finish_pass(&map, &disk, spills);
         for key in keys {
             assert!(map.with_entry(key, |e| e.is_none()), "victim dropped");
             assert!(!disk.segment_store().contains(key.content_hash()));

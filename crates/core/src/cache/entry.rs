@@ -88,8 +88,8 @@ pub struct CacheEntry {
     pub key: LineageId,
     /// The cached object; `None` while the entry is a placeholder.
     pub object: Option<CachedObject>,
-    /// The tier owning the object (admission/eviction dispatch through
-    /// the registry). Placeholders default to the local tier.
+    /// The tier owning the object (the cache dispatches probe, admission
+    /// and release on it). Placeholders default to the local tier.
     pub backend: BackendId,
     /// Admission status.
     pub status: EntryStatus,

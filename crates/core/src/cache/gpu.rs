@@ -15,8 +15,13 @@
 //!   report OOM so the cache can evict to host / defragment.
 //! - **Eviction ordering (eq. 2)**: `T_a(o) + 1/h(o) + c(o)` — recycle
 //!   least-recently-used, tall-lineage, cheap intermediates first.
+//!
+//! The manager is the cache's GPU tier itself: it admits, materializes
+//! and reports GPU entries directly.
 
-use crate::backend::EvictionPolicy;
+use crate::backend::{BackendId, BackendSnapshot, EvictionPolicy, Materialized};
+use crate::cache::entry::{CacheEntry, CachedObject};
+use crate::cache::sharded::ShardedEntryMap;
 use crate::lineage::LineageId;
 use crate::stats::ReuseStats;
 use memphis_gpusim::{GpuDevice, GpuError, GpuPtr};
@@ -381,6 +386,58 @@ impl GpuMemoryManager {
         }
     }
 
+    /// Admission of a GPU entry: marks its pointer as holding the cached
+    /// result for `key` and sizes the entry by the allocation. Returns
+    /// false for any other object.
+    pub(crate) fn put(&self, key: LineageId, entry: &mut CacheEntry) -> bool {
+        let Some(CachedObject::Gpu { ptr, .. }) = &entry.object else {
+            return false;
+        };
+        self.mark_cached(*ptr, key);
+        entry.size = ptr.size;
+        true
+    }
+
+    /// Hit-side reuse of a cached pointer: re-acquires it, or reports the
+    /// entry stale when the pointer is no longer managed.
+    pub(crate) fn materialize(&self, map: &ShardedEntryMap, key: LineageId) -> Materialized {
+        let mut shard = map.lock_of(key);
+        let Some(e) = shard.entries.get_mut(&key) else {
+            return Materialized::Stale;
+        };
+        let Some(CachedObject::Gpu { ptr, rows, cols }) = e.object.clone() else {
+            return Materialized::Stale;
+        };
+        if self.acquire(ptr) {
+            e.hits += 1;
+            drop(shard);
+            ReuseStats::inc(&self.stats.hits_gpu);
+            Materialized::Hit(CachedObject::Gpu { ptr, rows, cols })
+        } else {
+            Materialized::Stale
+        }
+    }
+
+    /// The tier's stats report, with the device's own counters appended.
+    pub(crate) fn snapshot(&self) -> BackendSnapshot {
+        let s = self.stats.snapshot();
+        let mut detail = vec![
+            ("hits", s.hits_gpu),
+            ("recycled", s.gpu_recycled),
+            ("reused", s.gpu_reused),
+            ("freed", s.gpu_freed),
+            ("to_host", s.gpu_evicted_to_host),
+        ];
+        detail.extend(self.device.stats().pairs());
+        BackendSnapshot {
+            id: BackendId::Gpu,
+            used: self.device.mem_used(),
+            budget: self.device.capacity(),
+            entries: 0,
+            detail,
+        }
+    }
+
     /// The `evict(p)` instruction (paper §5.2): frees the lowest-score
     /// `fraction` of free-list bytes with `cudaFree`, returning the lineage
     /// keys whose entries must be dropped.
@@ -388,13 +445,13 @@ impl GpuMemoryManager {
         let fraction = fraction.clamp(0.0, 1.0);
         let total = self.free_bytes();
         let target = (total as f64 * fraction) as usize;
-        self.evict_bytes(target).1
+        self.evict_bytes(target)
     }
 
     /// Frees the lowest-score free-list pointers until at least `bytes`
-    /// are released (or the free list runs dry). Returns the bytes
-    /// actually freed and the lineage keys whose entries must be dropped.
-    pub fn evict_bytes(&self, bytes: usize) -> (usize, Vec<LineageId>) {
+    /// are released (or the free list runs dry). Returns the lineage keys
+    /// whose entries must be dropped.
+    fn evict_bytes(&self, bytes: usize) -> Vec<LineageId> {
         let mut inner = self.inner.lock();
         let (clock, max_cost) = (inner.clock, inner.max_cost);
         let mut freed = 0usize;
@@ -431,7 +488,7 @@ impl GpuMemoryManager {
             self.device.free(ptr).ok();
             ReuseStats::inc(&self.stats.gpu_freed);
         }
-        (freed, invalidated)
+        invalidated
     }
 
     /// Pops a cached free pointer for device-to-host eviction (highest

@@ -2,31 +2,30 @@
 //!
 //! Probing is unified: one hash map from lineage keys to entries,
 //! regardless of where the cached object lives. Admission, eviction, and
-//! memory management are backend-local and pluggable: every tier —
-//! including the built-in four — is a [`CacheBackend`] registered in a
-//! [`BackendRegistry`], and the cache itself holds no backend-concrete
-//! state:
+//! memory management are tier-local. The cache owns its four tiers
+//! directly and dispatches each entry by its [`BackendId`]:
 //!
 //! - **Local**: matrices and scalars against a byte budget, with eq. (1)
 //!   cost&size eviction spilling into the disk tier
 //!   ([`backends::LocalBackend`]).
-//! - **Disk**: spilled binaries, read back and optionally promoted on
-//!   hit ([`backends::DiskBackend`]).
-//! - **Spark**: RDD handles reused even while unmaterialized; delayed
-//!   `persist()`; eq. (1) eviction via `unpersist`; lazy garbage
-//!   collection of dangling child RDD/broadcast references; asynchronous
-//!   `count()` materialization after `k` unmaterialized reuses
-//!   ([`backends::SparkTier`]).
-//! - **GPU**: pointers managed by the unified [`gpu::GpuMemoryManager`]
-//!   (Live/Free lists, recycling, eq. (2) scoring, eviction injection,
-//!   device-to-host eviction) ([`backends::GpuTier`]).
+//! - **Disk**: spilled binaries, read back and promoted on hit
+//!   ([`backends::DiskBackend`]).
+//! - **Spark**, when attached: RDD handles reused even while
+//!   unmaterialized; delayed `persist()`; eq. (1) eviction via
+//!   `unpersist`; lazy garbage collection of dangling child
+//!   RDD/broadcast references; asynchronous `count()` materialization
+//!   after `k` unmaterialized reuses ([`spark::SparkTier`]).
+//! - **GPU**, when attached: pointers managed by the unified
+//!   [`gpu::GpuMemoryManager`] (Live/Free lists, recycling, eq. (2)
+//!   scoring, eviction injection, device-to-host eviction).
 //!
 //! Cache traffic has four entry points. [`LineageCache::probe_or_begin`]
 //! and [`LineageCache::complete`] are the pair every computing caller
 //! uses; [`LineageCache::probe`] reads without claiming a computation,
 //! and [`LineageCache::put`] admits without probing. An [`Admit`] says
 //! how `complete` and `put` store an object: cost, size, delayed caching,
-//! pinning, the charged tenant and the tier.
+//! pinning and the charged tenant. The object's representation names its
+//! tier.
 //!
 //! The probe map is sharded ([`sharded::ShardedEntryMap`]) so concurrent
 //! sessions probing disjoint lineage ids never contend, and each shard
@@ -47,17 +46,17 @@ pub mod gpu;
 pub mod sharded;
 pub mod spark;
 
-use crate::backend::{BackendId, BackendRegistry, BackendSnapshot, CacheBackend, Materialized};
+use crate::backend::{BackendId, BackendSnapshot, Materialized};
 use crate::lineage::{self, LItem, LineageId};
 use crate::pool::Pool;
 use crate::stats::{ReuseStats, ReuseStatsSnapshot};
-use backends::{DiskBackend, GpuTier, LocalBackend, SparkTier};
+use backends::{DiskBackend, LocalBackend};
 use config::{CacheConfig, CachePolicy};
 use entry::{CacheEntry, CachedObject, EntryStatus};
 use gpu::{GpuAlloc, GpuMemoryManager};
 use memphis_gpusim::{GpuDevice, GpuError, GpuPtr};
 use sharded::{Inflight, InflightOutcome, ShardedEntryMap};
-use spark::SparkBackend;
+use spark::SparkTier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -143,15 +142,10 @@ pub struct Admit {
     /// Serving tenant charged for the entry's bytes against its soft
     /// quota (see [`LineageCache::set_tenant_quota`]).
     pub tenant: Option<u16>,
-    /// The tier to admit on; `None` routes to the tier owning the
-    /// object's representation. External tiers receive objects in
-    /// whatever representation they accept.
-    pub tier: Option<BackendId>,
 }
 
 impl Admit {
-    /// Admission at `cost` and `size`: delay 1, unpinned, no tenant, on
-    /// the tier of the object's representation.
+    /// Admission at `cost` and `size`: delay 1, unpinned, no tenant.
     pub fn new(cost: f64, size: usize) -> Self {
         Self {
             cost,
@@ -159,7 +153,6 @@ impl Admit {
             delay: 1,
             pin: false,
             tenant: None,
-            tier: None,
         }
     }
 }
@@ -194,12 +187,15 @@ enum Admitted {
 
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// The hierarchical lineage cache: a unified sharded probe map plus a
-/// registry of pluggable tier backends. One instance serves any number
-/// of concurrent sessions.
+/// The hierarchical lineage cache: a unified sharded probe map over the
+/// local and disk tiers, plus the Spark and GPU tiers when attached. One
+/// instance serves any number of concurrent sessions.
 pub struct LineageCache {
     map: ShardedEntryMap,
-    registry: BackendRegistry,
+    local: LocalBackend,
+    disk: DiskBackend,
+    spark: Option<SparkTier>,
+    gpu: Option<Arc<GpuMemoryManager>>,
     config: CacheConfig,
     stats: Arc<ReuseStats>,
     /// Recycled in-flight markers (see [`Pool`]): the steady-state
@@ -247,7 +243,7 @@ pub struct EntryReuseMeta {
 }
 
 impl LineageCache {
-    /// Creates a cache with the local (driver) and disk tiers registered.
+    /// Creates a cache with the local (driver) and disk tiers.
     ///
     /// Without `persist_dir`, disk-evicted binaries go to a cache-unique
     /// subdirectory of the configured spill dir, removed when the disk
@@ -268,18 +264,12 @@ impl LineageCache {
             }
         }
         let stats = Arc::new(ReuseStats::default());
-        let disk = Arc::new(DiskBackend::new(&config, stats.clone()));
-        let local = Arc::new(LocalBackend::new(
-            &config,
-            stats.clone(),
-            Some(disk.clone()),
-        ));
-        let mut registry = BackendRegistry::new();
-        registry.register(local);
-        registry.register(disk);
         let cache = Self {
             map: ShardedEntryMap::new(config.shards),
-            registry,
+            local: LocalBackend::new(&config, stats.clone()),
+            disk: DiskBackend::new(&config, stats.clone()),
+            spark: None,
+            gpu: None,
             config,
             stats,
             flight_pool: Pool::new(256),
@@ -321,9 +311,7 @@ impl LineageCache {
     /// local tier up to the configured budget; the rest materialize
     /// lazily on first probe.
     fn recover_from_disk(&self) {
-        let Some(disk) = self.registry.downcast::<DiskBackend>(BackendId::Disk) else {
-            return;
-        };
+        let disk = &self.disk;
         let records = disk.take_recovered();
         if records.is_empty() {
             return;
@@ -363,9 +351,6 @@ impl LineageCache {
         if budget == 0 {
             return;
         }
-        let Some(local) = self.registry.downcast::<LocalBackend>(BackendId::Local) else {
-            return;
-        };
         candidates.sort_by(|a, b| {
             b.2.partial_cmp(&a.2)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -379,7 +364,7 @@ impl LineageCache {
             let Some(m) = disk.read_matrix_raw(key.content_hash()) else {
                 continue;
             };
-            if local.admit_existing(&self.map, key, Arc::new(m)) {
+            if self.local.admit_existing(&self.map, disk, key, Arc::new(m)) {
                 disk.discard(key.content_hash(), size);
                 ReuseStats::inc(&self.stats.entries_rehydrated);
                 spent += size;
@@ -404,42 +389,22 @@ impl LineageCache {
         }
     }
 
-    /// Attaches the simulated Spark cluster as a registered tier.
+    /// Attaches the simulated Spark cluster as the Spark tier.
     pub fn with_spark(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let b = SparkBackend::new(sc, config::SPARK_REUSE_FRACTION);
-        self.registry.register(Arc::new(SparkTier::new(
-            b,
-            &self.config,
-            self.stats.clone(),
-        )));
+        self.spark = Some(SparkTier::new(sc, &self.config, self.stats.clone(), false));
         self
     }
 
     /// Attaches a Spark tier in deterministic (inline materialization)
     /// mode for tests.
     pub fn with_spark_sync(mut self, sc: memphis_sparksim::SparkContext) -> Self {
-        let mut b = SparkBackend::new(sc, config::SPARK_REUSE_FRACTION);
-        b.sync_materialize = true;
-        self.registry.register(Arc::new(SparkTier::new(
-            b,
-            &self.config,
-            self.stats.clone(),
-        )));
+        self.spark = Some(SparkTier::new(sc, &self.config, self.stats.clone(), true));
         self
     }
 
-    /// Attaches a simulated GPU device as a registered tier.
+    /// Attaches a simulated GPU device as the GPU tier.
     pub fn with_gpu(mut self, device: Arc<GpuDevice>) -> Self {
-        let mgr = Arc::new(GpuMemoryManager::new(device, self.stats.clone()));
-        self.registry
-            .register(Arc::new(GpuTier::new(mgr, self.stats.clone())));
-        self
-    }
-
-    /// Registers an additional (or replacement) tier — external backends
-    /// plug in here without any change to the cache itself.
-    pub fn with_backend(mut self, backend: Arc<dyn CacheBackend>) -> Self {
-        self.registry.register(backend);
+        self.gpu = Some(Arc::new(GpuMemoryManager::new(device, self.stats.clone())));
         self
     }
 
@@ -455,11 +420,6 @@ impl LineageCache {
         s
     }
 
-    /// The registered tier backends.
-    pub fn registry(&self) -> &BackendRegistry {
-        &self.registry
-    }
-
     /// Number of probe-map shards.
     pub fn shard_count(&self) -> usize {
         self.map.shard_count()
@@ -467,16 +427,17 @@ impl LineageCache {
 
     /// The GPU memory manager, if a device is attached.
     pub fn gpu_manager(&self) -> Option<&Arc<GpuMemoryManager>> {
-        self.registry
-            .downcast::<GpuTier>(BackendId::Gpu)
-            .map(|t| t.manager())
+        self.gpu.as_ref()
     }
 
-    /// The Spark backend, if attached.
-    pub fn spark_backend(&self) -> Option<&SparkBackend> {
-        self.registry
-            .downcast::<SparkTier>(BackendId::Spark)
-            .map(|t| t.spark())
+    /// The Spark tier, if a cluster is attached.
+    pub fn spark(&self) -> Option<&SparkTier> {
+        self.spark.as_ref()
+    }
+
+    /// The disk tier (spill records, the durable segment store).
+    pub fn disk(&self) -> &DiskBackend {
+        &self.disk
     }
 
     /// Number of entries (placeholders included).
@@ -491,24 +452,21 @@ impl LineageCache {
 
     /// Bytes of local matrices currently cached on the driver.
     pub fn local_used(&self) -> usize {
-        self.registry
-            .get(BackendId::Local)
-            .map(|b| b.used())
-            .unwrap_or(0)
+        self.local.used()
     }
 
     /// Estimated bytes of reuse-persisted RDDs.
     pub fn rdd_est_bytes(&self) -> usize {
-        self.registry
-            .get(BackendId::Spark)
-            .map(|b| b.used())
-            .unwrap_or(0)
+        self.spark.as_ref().map_or(0, |s| s.used())
     }
 
-    /// Per-backend stats reports ([`CacheBackend::snapshot`]), with entry
-    /// counts filled from the probe map.
+    /// Per-tier stats reports in the order local, disk, Spark, GPU (the
+    /// last two when attached), with entry counts filled from the probe
+    /// map.
     pub fn backend_snapshots(&self) -> Vec<BackendSnapshot> {
-        let mut snaps = self.registry.snapshots();
+        let mut snaps = vec![self.local.snapshot(), self.disk.snapshot()];
+        snaps.extend(self.spark.as_ref().map(|s| s.snapshot()));
+        snaps.extend(self.gpu.as_ref().map(|g| g.snapshot()));
         let mut counts: HashMap<BackendId, usize> = HashMap::new();
         self.map.for_each(|_, e| {
             *counts.entry(e.backend).or_insert(0) += 1;
@@ -534,8 +492,26 @@ impl LineageCache {
     /// to resolve.
     pub fn clear(&self) {
         for (_, e) in self.map.drain_entries() {
-            if let Some(b) = self.registry.get(e.backend) {
-                b.release(&e);
+            self.release(&e);
+        }
+    }
+
+    /// Releases the resources an entry leaving the cache holds on its tier
+    /// (spill record, RDD persistence, GPU pointer mark) and reverses the
+    /// tier's accounting.
+    fn release(&self, e: &CacheEntry) {
+        match e.backend {
+            BackendId::Local => self.local.release(e),
+            BackendId::Disk => self.disk.release(e),
+            BackendId::Spark => {
+                if let Some(spark) = &self.spark {
+                    spark.release(e);
+                }
+            }
+            BackendId::Gpu => {
+                if let (Some(g), Some(CachedObject::Gpu { ptr, .. })) = (&self.gpu, &e.object) {
+                    g.unmark_cached(*ptr);
+                }
             }
         }
     }
@@ -595,9 +571,7 @@ impl LineageCache {
     pub fn remove(&self, key: LineageId) -> bool {
         match self.map.remove_entry(key) {
             Some(e) => {
-                if let Some(b) = self.registry.get(e.backend) {
-                    b.release(&e);
-                }
+                self.release(&e);
                 true
             }
             None => false,
@@ -630,9 +604,17 @@ impl LineageCache {
         };
         // Materialize with no shard lock held: tiers lock the shards
         // (and their own accounting) themselves.
-        let outcome = match self.registry.get(backend_id) {
-            Some(b) => b.materialize(&self.map, &self.registry, key),
-            None => Materialized::Stale, // tier was unregistered
+        let outcome = match backend_id {
+            BackendId::Local => self.local.materialize(&self.map, key),
+            BackendId::Disk => self.disk.materialize(&self.map, &self.local, key),
+            BackendId::Spark => match &self.spark {
+                Some(spark) => spark.materialize(&self.map, key),
+                None => Materialized::Stale,
+            },
+            BackendId::Gpu => match &self.gpu {
+                Some(g) => g.materialize(&self.map, key),
+                None => Materialized::Stale,
+            },
         };
         match outcome {
             Materialized::Hit(object) => {
@@ -644,9 +626,7 @@ impl LineageCache {
             }
             Materialized::Stale => {
                 if let Some(e) = self.map.remove_entry(key) {
-                    if let Some(b) = self.registry.get(e.backend) {
-                        b.release(&e);
-                    }
+                    self.release(&e);
                 }
                 None
             }
@@ -889,18 +869,28 @@ impl LineageCache {
     // PUT
     // ------------------------------------------------------------------
 
-    /// PUT: offers the result of an executed instruction to the cache,
-    /// routed to the tier `admit` names (by default the one owning the
-    /// object's representation), without probing or claiming the
-    /// computation. Decides under the key's shard lock whether to skip,
-    /// defer, or store, then admits with no shard lock held. Returns true
-    /// if the object was stored (vs. deferred, rejected, or already
-    /// cached).
+    /// PUT: offers the result of an executed instruction to the tier
+    /// owning the object's representation, without probing or claiming
+    /// the computation. Decides under the key's shard lock whether to
+    /// skip, defer, or store, then admits with no shard lock held.
+    /// Returns true if the object was stored (vs. deferred, rejected, or
+    /// already cached). An object whose tier is not attached, or a disk
+    /// record (the disk tier only takes spills), is rejected before any
+    /// placeholder is made.
     pub fn put(&self, item: &LItem, object: CachedObject, admit: Admit) -> bool {
-        let backend = admit.tier.unwrap_or_else(|| object.backend());
+        let backend = object.backend();
         let _put_span = memphis_obs::span_with(memphis_obs::cat::CACHE, "put", || {
             backend.as_str().to_string()
         });
+        let admits = match backend {
+            BackendId::Local => true,
+            BackendId::Disk => false,
+            BackendId::Spark => self.spark.is_some(),
+            BackendId::Gpu => self.gpu.is_some(),
+        };
+        if !admits {
+            return false;
+        }
         let key = item.lid;
         let clock = self.map.tick();
         /// What the shard-lock inspection decided.
@@ -1023,20 +1013,14 @@ impl LineageCache {
 
     /// Configures a tenant's soft cache quota (bytes of driver-local
     /// cache). Over-quota tenants' entries become preferred eq. (1)
-    /// eviction victims (counted as `quota_evictions`). No-op without a
-    /// local tier.
+    /// eviction victims (counted as `quota_evictions`).
     pub fn set_tenant_quota(&self, tenant: u16, bytes: usize) {
-        if let Some(local) = self.registry.downcast::<LocalBackend>(BackendId::Local) {
-            local.set_quota(tenant, bytes);
-        }
+        self.local.set_quota(tenant, bytes);
     }
 
     /// Driver-local cache bytes currently charged to `tenant`.
     pub fn tenant_local_used(&self, tenant: u16) -> usize {
-        self.registry
-            .downcast::<LocalBackend>(BackendId::Local)
-            .map(|local| local.tenant_used(tenant))
-            .unwrap_or(0)
+        self.local.tenant_used(tenant)
     }
 
     /// Stores an object through its tier's admission (MAKE_SPACE +
@@ -1051,9 +1035,6 @@ impl LineageCache {
         backend: BackendId,
         clock: u64,
     ) -> Admitted {
-        let Some(b) = self.registry.get(backend) else {
-            return Admitted::Rejected;
-        };
         let key = item.lid;
         let mut e = CacheEntry::cached(item, object, how.cost, how.size);
         e.backend = backend;
@@ -1065,7 +1046,13 @@ impl LineageCache {
         e.tenant = how.tenant;
         // Tier admission (MAKE_SPACE, persist, accounting) runs with no
         // shard lock held — it may evict across shards.
-        if !b.put(&self.map, &self.registry, key, &mut e) {
+        let stored = match backend {
+            BackendId::Local => self.local.put(&self.map, &self.disk, &mut e),
+            BackendId::Disk => false,
+            BackendId::Spark => self.spark.as_ref().is_some_and(|s| s.put(&self.map, &e)),
+            BackendId::Gpu => self.gpu.as_ref().is_some_and(|g| g.put(key, &mut e)),
+        };
+        if !stored {
             return Admitted::Rejected;
         }
         let mut shard = self.map.lock_of(key);
@@ -1075,7 +1062,7 @@ impl LineageCache {
                 // lineage item between our plan and now. Keep theirs and
                 // reverse our tier accounting.
                 drop(shard);
-                b.release(&e);
+                self.release(&e);
                 Admitted::Raced
             }
             _ => {
@@ -1124,14 +1111,10 @@ impl LineageCache {
                                 "bytes",
                                 ptr.size as u64,
                             );
-                            let admitted = match host {
-                                Some(m) => self
-                                    .registry
-                                    .downcast::<LocalBackend>(BackendId::Local)
-                                    .map(|local| local.admit_existing(&self.map, key, Arc::new(m)))
-                                    .unwrap_or(false),
-                                None => false,
-                            };
+                            let admitted = host.is_some_and(|m| {
+                                self.local
+                                    .admit_existing(&self.map, &self.disk, key, Arc::new(m))
+                            });
                             if !admitted {
                                 // Pointer already freed: plain removal.
                                 self.map.remove_entry(key);
@@ -1189,9 +1172,7 @@ impl LineageCache {
         for k in keys {
             if let Some(e) = self.map.remove_entry(*k) {
                 if e.backend != BackendId::Gpu {
-                    if let Some(b) = self.registry.get(e.backend) {
-                        b.release(&e);
-                    }
+                    self.release(&e);
                 }
             }
         }
@@ -1343,11 +1324,11 @@ mod tests {
         c.put(&i1, mat(&m1), Admit::new(1.0, m1.size_bytes()));
         c.probe(&i1).expect("hit");
         c.put(&item("m2"), mat(&m2), Admit::new(100.0, m2.size_bytes()));
-        let disk_used = c.registry().get(BackendId::Disk).unwrap().used();
+        let disk_used = c.disk().used();
         assert_eq!(disk_used, m1.size_bytes(), "spill accounted to disk tier");
         // Promote-on-hit moves the bytes back to the local tier.
         c.probe(&i1).expect("disk hit");
-        assert_eq!(c.registry().get(BackendId::Disk).unwrap().used(), 0);
+        assert_eq!(c.disk().used(), 0);
     }
 
     #[test]
@@ -1366,8 +1347,7 @@ mod tests {
         assert_eq!(c.stats().local_spills, 1);
         c.probe(&i1).expect("disk hit promotes");
 
-        let disk = c.registry().get(BackendId::Disk).unwrap();
-        match disk.materialize(&c.map, c.registry(), i1.lid) {
+        match c.disk.materialize(&c.map, &c.local, i1.lid) {
             Materialized::Hit(CachedObject::Matrix(got)) => assert!(got.approx_eq(&m1, 0.0)),
             other => panic!("promoted entry not served: {other:?}"),
         }
@@ -1442,7 +1422,7 @@ mod tests {
         let mut cfg = CacheConfig::test();
         cfg.local_budget = 1 << 20;
         let c = LineageCache::new(cfg).with_spark_sync(sc.clone());
-        let budget = c.spark_backend().unwrap().reuse_budget;
+        let budget = c.spark().unwrap().budget();
         let m = rand_uniform(16, 4, 0.0, 1.0, 5);
         let b = BlockedMatrix::from_dense(&m, 4).unwrap();
 
@@ -1670,18 +1650,54 @@ mod tests {
 
     #[test]
     fn backend_snapshots_cover_registered_tiers() {
+        use BackendId::{Disk, Gpu, Local, Spark};
+        let ids = |c: &LineageCache| -> Vec<BackendId> {
+            c.backend_snapshots().iter().map(|s| s.id).collect()
+        };
+        assert_eq!(ids(&cache_kb(64)), [Local, Disk]);
+        let device = StdArc::new(GpuDevice::new(memphis_gpusim::GpuConfig::zero_cost(
+            1 << 20,
+        )));
+        let sc = SparkContext::new(SparkConfig::local_test());
+        let both = cache_kb(64).with_spark_sync(sc).with_gpu(device);
+        assert_eq!(ids(&both), [Local, Disk, Spark, Gpu]);
+
         let (c, _sc) = spark_cache();
+        assert_eq!(ids(&c), [Local, Disk, Spark]);
         let m = rand_uniform(8, 8, 0.0, 1.0, 9);
         c.put(&item("m"), mat(&m), Admit::new(1.0, m.size_bytes()));
         let snaps = c.backend_snapshots();
-        let ids: Vec<_> = snaps.iter().map(|s| s.id).collect();
-        assert!(ids.contains(&BackendId::Local));
-        assert!(ids.contains(&BackendId::Disk));
-        assert!(ids.contains(&BackendId::Spark));
         let local = snaps.iter().find(|s| s.id == BackendId::Local).unwrap();
         assert_eq!(local.entries, 1);
         assert_eq!(local.used, m.size_bytes());
         assert!(!c.backend_report().is_empty());
+    }
+
+    #[test]
+    fn puts_to_a_tier_that_takes_no_puts_are_rejected() {
+        // An RDD into a cache without Spark, and a disk record into any
+        // cache: rejected at once, with no entry and no placeholder.
+        let sc = SparkContext::new(SparkConfig::local_test());
+        let m = rand_uniform(16, 4, 0.0, 1.0, 10);
+        let src = sc.parallelize_blocked(&BlockedMatrix::from_dense(&m, 4).unwrap(), "X");
+        let rdd = CachedObject::Rdd {
+            rdd: src,
+            rows: 16,
+            cols: 4,
+        };
+        let (with_spark, _sc) = spark_cache();
+        for delay in [1, 3] {
+            let how = Admit {
+                delay,
+                ..Admit::new(1.0, 1024)
+            };
+            let c = cache_kb(64);
+            assert!(!c.put(&item("rdd"), rdd.clone(), how), "delay {delay}");
+            assert!(!c.put(&item("disk"), CachedObject::Disk(7), how));
+            assert!(c.is_empty(), "delay {delay}: no entry or placeholder");
+            assert!(!with_spark.put(&item("disk"), CachedObject::Disk(7), how));
+            assert!(with_spark.is_empty(), "delay {delay}");
+        }
     }
 
     // --------------------------------------------------------------

@@ -266,10 +266,10 @@ impl ShardedEntryMap {
     }
 
     /// Selects the minimum eq. (1) score victim among entries matching
-    /// `filter`, sampling up to `policy.sample_limit` candidates per
-    /// shard. Shards are scanned sequentially (one lock at a time), so a
-    /// concurrent insertion may be missed — callers re-validate the
-    /// victim under its shard lock before acting on it. The running best
+    /// `filter`, sampling up to [`EvictionPolicy::VICTIM_SAMPLE`]
+    /// candidates per shard. Shards are scanned sequentially (one lock at
+    /// a time), so a concurrent insertion may be missed — callers
+    /// re-validate the victim under its shard lock before acting on it. The running best
     /// is a `Copy` id: nothing is cloned during the scan.
     pub fn select_victim<F>(&self, policy: &EvictionPolicy, filter: F) -> Option<LineageId>
     where
@@ -282,7 +282,7 @@ impl ShardedEntryMap {
                 .entries
                 .iter()
                 .filter(|(k, e)| !e.pinned && filter(**k, e))
-                .take(policy.sample_limit)
+                .take(EvictionPolicy::VICTIM_SAMPLE)
             {
                 let score = policy.score(e);
                 // Score ties break on the content-derived lineage hash,

@@ -10,7 +10,7 @@
 //! | `RECOMPUTE(log)` | [`recompute::recompute`] |
 //! | `REUSE(trace)` | [`cache::LineageCache::probe`] |
 //! | `PUT(trace, object)` | [`cache::LineageCache::put`] |
-//! | `MAKE_SPACE(object)` | internal to the backend managers |
+//! | `MAKE_SPACE(object)` | internal to the tiers |
 //!
 //! The cache is *hierarchical*: probing is unified across backends, while
 //! cached objects live backend-local — in-memory matrices and scalars on
@@ -26,10 +26,7 @@ pub mod pool;
 pub mod recompute;
 pub mod stats;
 
-pub use backend::{
-    BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EntryMap, EvictionPolicy,
-    Materialized,
-};
+pub use backend::{BackendId, BackendSnapshot, EntryMap, EvictionPolicy, Materialized};
 pub use cache::config::{CacheConfig, CachePolicy};
 pub use cache::entry::{CacheEntry, CachedObject, EntryStatus};
 pub use cache::gpu::GpuMemoryManager;

@@ -7,7 +7,7 @@ use crate::config::EngineConfig;
 use crate::cost;
 use crate::ops::AggDir;
 use crate::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
-use memphis_core::{BackendId, BackendRegistry};
+use memphis_core::LineageCache;
 use std::collections::HashMap;
 
 /// Backend assignment of a node.
@@ -31,22 +31,22 @@ pub enum Ordering {
     MaxParallelize,
 }
 
-/// Capacity view of the registered cache backends, consulted by operator
-/// placement. Built from the cache's [`BackendRegistry`] so the compiler
-/// asks the tiers what exists (and how much room they have) instead of
+/// Capacity view of the cache's attached tiers, consulted by operator
+/// placement. Read from the [`LineageCache`] so the compiler asks the
+/// cache which tiers exist (and how much room they have) instead of
 /// hard-coding CPU/Spark/GPU branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlacementCaps {
-    /// A Spark tier is registered: distributed placement is possible.
+    /// A Spark tier is attached: distributed placement is possible.
     pub spark: bool,
-    /// A GPU tier is registered.
+    /// A GPU tier is attached.
     pub gpu: bool,
     /// GPU device capacity in bytes; operands placed there must fit.
     pub gpu_capacity: usize,
 }
 
 impl PlacementCaps {
-    /// Driver-local execution only — no remote tiers registered.
+    /// Driver-local execution only — no remote tiers attached.
     pub fn local_only() -> Self {
         Self::default()
     }
@@ -60,12 +60,13 @@ impl PlacementCaps {
         }
     }
 
-    /// Reads tier availability and capacity out of the registry.
-    pub fn from_registry(reg: &BackendRegistry) -> Self {
+    /// Reads tier availability and device capacity out of the cache.
+    pub fn of(cache: &LineageCache) -> Self {
+        let gpu = cache.gpu_manager();
         Self {
-            spark: reg.contains(BackendId::Spark),
-            gpu: reg.contains(BackendId::Gpu),
-            gpu_capacity: reg.get(BackendId::Gpu).map(|b| b.budget()).unwrap_or(0),
+            spark: cache.spark().is_some(),
+            gpu: gpu.is_some(),
+            gpu_capacity: gpu.map_or(0, |g| g.device().capacity()),
         }
     }
 }
@@ -658,7 +659,7 @@ mod tests {
         c
     }
 
-    /// Spark tier registered, no GPU — the classic hybrid-plan setup.
+    /// Spark tier attached, no GPU — the classic hybrid-plan setup.
     fn sp_caps() -> PlacementCaps {
         PlacementCaps {
             spark: true,
@@ -726,7 +727,7 @@ mod tests {
         let mut vd = HashMap::new();
         vd.insert("X".into(), (1000, 10));
         vd.insert("y".into(), (1000, 1));
-        // No Spark tier registered: everything stays on the driver even
+        // No Spark tier attached: everything stays on the driver even
         // though X exceeds the distribution threshold.
         let b = place(&d, &vd, &cfg_sp(1024), &PlacementCaps::local_only());
         assert!(b.iter().all(|&x| x == Backend::Cp));

@@ -270,8 +270,8 @@ impl ExecutionContext {
     {
         self.stats.instructions += 1;
         let mode = self.cfg.reuse;
-        let op: String = opcode.to_string();
-        let _instr_span = memphis_obs::span_with(memphis_obs::cat::INTERP, "instr", move || op);
+        let _instr_span =
+            memphis_obs::span_with(memphis_obs::cat::INTERP, "instr", || opcode.to_string());
 
         // TRACE
         let item = if mode.traces() {
@@ -401,7 +401,10 @@ impl ExecutionContext {
         }
     }
 
-    /// Which values this mode offers to the cache.
+    /// Which values this mode offers to the cache, for instruction and
+    /// function outputs alike: local results always, RDDs and GPU
+    /// pointers only under multi-backend reuse (so HELIX caches local
+    /// function results only, MEMPHIS any backend).
     fn cacheable_object(&self, value: &Value) -> Option<CachedObject> {
         let mode = self.cfg.reuse;
         match value {
@@ -682,7 +685,7 @@ impl ExecutionContext {
                         } else {
                             // Unconsumable cached object: fall through to
                             // execution for everything.
-                            return self.run_function_body(name, func_items, outputs, body);
+                            return self.run_function_body(func_items, outputs, body);
                         }
                     }
                     self.stats.functions_reused += 1;
@@ -690,12 +693,11 @@ impl ExecutionContext {
                 }
             }
         }
-        self.run_function_body(name, func_items, outputs, body)
+        self.run_function_body(func_items, outputs, body)
     }
 
     fn run_function_body<F>(
         &mut self,
-        _name: &str,
         func_items: Option<Vec<LItem>>,
         outputs: &[&str],
         body: F,
@@ -712,7 +714,7 @@ impl ExecutionContext {
                     let Ok(b) = self.binding(out) else { continue };
                     let cost = b.cost;
                     let value = b.value.clone();
-                    if let Some(obj) = self.cacheable_function_object(&value) {
+                    if let Some(obj) = self.cacheable_object(&value) {
                         let size_hint = value
                             .shape()
                             .map(|(r, c)| cost::dense_bytes(r, c))
@@ -726,30 +728,6 @@ impl ExecutionContext {
             }
         }
         Ok(())
-    }
-
-    /// Function outputs cacheable under multi-level entries: HELIX caches
-    /// local results only; MEMPHIS caches any backend.
-    fn cacheable_function_object(&self, value: &Value) -> Option<CachedObject> {
-        match value {
-            Value::Matrix(m) => Some(CachedObject::Matrix(Arc::new(m.clone()))),
-            Value::Scalar(v) => Some(CachedObject::Scalar(*v)),
-            Value::Rdd {
-                rdd, rows, cols, ..
-            } if self.cfg.reuse.multibackend() => Some(CachedObject::Rdd {
-                rdd: rdd.clone(),
-                rows: *rows,
-                cols: *cols,
-            }),
-            Value::Gpu { ptr, rows, cols } if self.cfg.reuse.multibackend() => {
-                Some(CachedObject::Gpu {
-                    ptr: *ptr,
-                    rows: *rows,
-                    cols: *cols,
-                })
-            }
-            _ => None,
-        }
     }
 }
 

@@ -83,9 +83,9 @@ fn run_dag(
     dag: &Dag,
     ordering: Ordering,
 ) -> Result<()> {
-    // Registry-driven placement: ask the cache which tiers are registered
-    // (and how big the device is) instead of probing context fields.
-    let caps = PlacementCaps::from_registry(ctx.cache().registry());
+    // Tier-driven placement: ask the cache which tiers are attached (and
+    // how big the device is) instead of probing context fields.
+    let caps = PlacementCaps::of(ctx.cache());
     let backend = place(dag, &program.var_dims, ctx.config(), &caps);
     let order = linearize(dag, &backend, ordering);
 

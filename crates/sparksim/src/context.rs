@@ -247,9 +247,8 @@ impl SparkContext {
         cols: usize,
         blen: usize,
     ) -> BlockedMatrix {
-        let mut blocks = self.collect(rdd);
-        blocks.sort_by_key(|(k, _)| *k);
-        BlockedMatrix::from_blocks(rows, cols, blen, blocks)
+        self.try_collect_blocked(rdd, rows, cols, blen)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`SparkContext::collect_blocked`].

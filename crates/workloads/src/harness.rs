@@ -92,8 +92,8 @@ pub struct WorkloadOutcome {
     pub engine: EngineStats,
     /// Lineage-cache counters.
     pub reuse: ReuseStatsSnapshot,
-    /// Per-backend usage/budget/entry snapshots from the cache registry,
-    /// in registration order.
+    /// Per-tier usage/budget/entry snapshots from the cache, in the order
+    /// local, disk, Spark, GPU (the last two when attached).
     pub backends: Vec<BackendSnapshot>,
 }
 
@@ -120,7 +120,7 @@ where
 }
 
 /// Formats the per-backend snapshot block of an outcome (one indented
-/// line per registered tier, sourced from `CacheBackend::snapshot`).
+/// line per attached tier, from `LineageCache::backend_snapshots`).
 pub fn backend_rows(o: &WorkloadOutcome) -> String {
     o.backends
         .iter()
@@ -177,7 +177,7 @@ mod tests {
         assert_eq!(o.check, 42.0);
         assert_eq!(o.engine.instructions, 1);
         assert!(!outcome_row(&o).is_empty());
-        // Local + disk tiers always register; snapshots ride along.
+        // Local + disk tiers are always there; snapshots ride along.
         use memphis_core::BackendId;
         assert!(o.backends.iter().any(|s| s.id == BackendId::Local));
         assert!(o.backends.iter().any(|s| s.id == BackendId::Disk));

@@ -9,3 +9,9 @@ pub fn chaos_seed() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42)
 }
+
+/// README's Rust examples, compiled and run as doctests so README cannot
+/// drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -1,140 +1,15 @@
-//! Integration tests for the first-class backend layer: registering a
-//! custom tier without touching the cache, concurrent probe/put over the
-//! split locks, and property checks that eviction follows the eq. (1)
+//! Integration tests for the cache's tiers: concurrent probe/put over
+//! the split locks, and property checks that eviction follows the eq. (1)
 //! cost&size and eq. (2) GPU scoring of the shared `EvictionPolicy`.
 
 use memphis_core::cache::config::CacheConfig;
-use memphis_core::cache::entry::{CacheEntry, CachedObject};
+use memphis_core::cache::entry::CachedObject;
 use memphis_core::cache::{Admit, LineageCache};
-use memphis_core::lineage::{LineageId, LineageItem};
-use memphis_core::{
-    BackendId, BackendRegistry, BackendSnapshot, CacheBackend, EvictionPolicy, Materialized,
-    ShardedEntryMap,
-};
+use memphis_core::lineage::LineageItem;
+use memphis_core::EvictionPolicy;
 use memphis_matrix::Matrix;
 use proptest::prelude::*;
-use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-// ----------------------------------------------------------------------
-// Custom backend registration (no cache changes required)
-// ----------------------------------------------------------------------
-
-/// A minimal external tier: unbounded, counts traffic, keeps byte
-/// accounting like any registered backend.
-#[derive(Default)]
-struct ShadowBackend {
-    used: Mutex<usize>,
-    puts: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl CacheBackend for ShadowBackend {
-    fn id(&self) -> BackendId {
-        BackendId::Custom(7)
-    }
-
-    fn put(
-        &self,
-        _map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        _key: LineageId,
-        entry: &mut CacheEntry,
-    ) -> bool {
-        *self.used.lock().unwrap() += entry.size;
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    fn materialize(
-        &self,
-        map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        key: LineageId,
-    ) -> Materialized {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        map.with_entry(key, |e| {
-            let e = e.expect("probed entries exist");
-            e.hits += 1;
-            Materialized::Hit(e.object.clone().expect("cached entries have objects"))
-        })
-    }
-
-    fn evict_until(
-        &self,
-        _map: &ShardedEntryMap,
-        _reg: &BackendRegistry,
-        _bytes: usize,
-        _skip: Option<LineageId>,
-    ) -> usize {
-        0
-    }
-
-    fn used(&self) -> usize {
-        *self.used.lock().unwrap()
-    }
-
-    fn budget(&self) -> usize {
-        usize::MAX
-    }
-
-    fn snapshot(&self) -> BackendSnapshot {
-        BackendSnapshot {
-            id: self.id(),
-            used: self.used(),
-            budget: self.budget(),
-            entries: 0,
-            detail: vec![
-                ("puts", self.puts.load(Ordering::Relaxed)),
-                ("hits", self.hits.load(Ordering::Relaxed)),
-            ],
-        }
-    }
-
-    fn release(&self, entry: &CacheEntry) {
-        *self.used.lock().unwrap() -= entry.size;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-#[test]
-fn custom_backend_registers_and_serves_probes() {
-    let shadow = Arc::new(ShadowBackend::default());
-    let cache = LineageCache::new(CacheConfig::test()).with_backend(shadow.clone());
-
-    let item = LineageItem::leaf("ext");
-    assert!(cache.put(
-        &item,
-        CachedObject::Scalar(42.0),
-        Admit {
-            tier: Some(BackendId::Custom(7)),
-            ..Admit::new(5.0, 16)
-        }
-    ));
-    let hit = cache.probe(&item).expect("custom tier serves the probe");
-    assert!(matches!(hit, CachedObject::Scalar(v) if v == 42.0));
-    assert_eq!(shadow.puts.load(Ordering::Relaxed), 1);
-    assert_eq!(shadow.hits.load(Ordering::Relaxed), 1);
-
-    // The unified report covers the external tier, with entry counts
-    // filled from the probe map.
-    let snaps = cache.backend_snapshots();
-    let s = snaps
-        .iter()
-        .find(|s| s.id == BackendId::Custom(7))
-        .expect("registered tier reports");
-    assert_eq!(s.entries, 1);
-    assert_eq!(s.used, 16);
-    assert!(cache.backend_report().contains("custom#7"));
-
-    // Clearing releases through the tier and reverses its accounting.
-    cache.clear();
-    assert_eq!(shadow.used(), 0);
-}
+use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Concurrent probe/put smoke test over the split locks
@@ -175,8 +50,8 @@ fn concurrent_probe_put_smoke() {
         }
     });
 
-    // Per-backend accounting stayed within budget and the probe map is
-    // consistent with the registered tiers.
+    // Per-tier accounting stayed within budget and the probe map is
+    // consistent with the attached tiers.
     for s in cache.backend_snapshots() {
         if s.budget != usize::MAX {
             assert!(

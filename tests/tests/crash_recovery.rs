@@ -25,8 +25,6 @@
 //!    corrupt bytes — checksum rejection must route to recompute (a
 //!    `None` read).
 
-use memphis_core::backend::BackendId;
-use memphis_core::cache::backends::DiskBackend;
 use memphis_core::cache::config::CacheConfig;
 use memphis_core::cache::durable::{empty_digest, DurableRecord, SegmentStore};
 use memphis_core::cache::LineageCache;
@@ -131,10 +129,7 @@ struct SweepRun {
 /// recording the committed digest after every sync point.
 fn run_pipeline(dir: &Path, kind: &str, faults: FaultPlan) -> SweepRun {
     let cache = Arc::new(LineageCache::new(sweep_config(dir, kind, faults)));
-    let disk = cache
-        .registry()
-        .downcast::<DiskBackend>(BackendId::Disk)
-        .expect("disk tier");
+    let disk = cache.disk();
     let store = disk.segment_store();
     store.record_sync_digests();
     let checks = run_workload(&cache, kind)
@@ -196,10 +191,7 @@ fn kill_sweep(kind: &str) {
             kind,
             FaultPlan::none(),
         )));
-        let disk = cache
-            .registry()
-            .downcast::<DiskBackend>(BackendId::Disk)
-            .expect("disk tier");
+        let disk = cache.disk();
         let expected = if k >= 2 {
             base.digests[(k - 2) as usize]
         } else {

@@ -60,8 +60,11 @@ fn spill_then_disk_hit_promotes_bit_identical() {
     assert_eq!(s.local_spills, 1, "cheaper proven entry spilled");
     assert_eq!(s.local_drops, 0);
     assert_eq!(s.disk_io_errors, 0);
-    let disk = c.registry().get(BackendId::Disk).unwrap();
-    assert_eq!(disk.used(), m1.size_bytes(), "spill accounted to disk tier");
+    assert_eq!(
+        c.disk().used(),
+        m1.size_bytes(),
+        "spill accounted to disk tier"
+    );
 
     // Disk hit: contents must be bit-identical (tolerance 0.0), and
     // promote-on-hit must move the bytes back to the local tier.
@@ -73,11 +76,7 @@ fn spill_then_disk_hit_promotes_bit_identical() {
     }
     let s = c.stats();
     assert_eq!(s.hits_disk, 1);
-    assert_eq!(
-        c.registry().get(BackendId::Disk).unwrap().used(),
-        0,
-        "promotion drains the disk tier"
-    );
+    assert_eq!(c.disk().used(), 0, "promotion drains the disk tier");
 
     // The promoted entry now hits in memory.
     let before = c.stats().hits_local;
@@ -117,7 +116,7 @@ fn spill_write_failure_drops_cleanly_and_counts() {
     assert_eq!(s.local_spills, 0, "failed write is not a spill");
     assert_eq!(s.local_drops, 1, "victim dropped cleanly instead");
     assert_eq!(
-        c.registry().get(BackendId::Disk).unwrap().used(),
+        c.disk().used(),
         0,
         "no dangling disk entry may be accounted"
     );
@@ -191,7 +190,6 @@ fn disk_io_errors_surface_in_metrics_and_snapshots() {
 /// with no rename or rewrite pass.
 #[test]
 fn spill_keys_are_content_hashes_stable_across_restart() {
-    use memphis_core::cache::backends::DiskBackend;
     use memphis_core::cache::durable::SegmentStore;
 
     let dir = spill_dir("stable_keys");
@@ -215,10 +213,7 @@ fn spill_keys_are_content_hashes_stable_across_restart() {
             Admit::new(100.0, m2.size_bytes()),
         );
         assert_eq!(c.stats().local_spills, 1);
-        let disk = c
-            .registry()
-            .downcast::<DiskBackend>(BackendId::Disk)
-            .unwrap();
+        let disk = c.disk();
         assert!(
             disk.segment_store().contains(hash),
             "spill must be stored under the lineage content hash"
@@ -241,10 +236,7 @@ fn spill_keys_are_content_hashes_stable_across_restart() {
         cfg.rehydrate_budget = Some(0);
         let c = LineageCache::new(cfg);
         assert_eq!(c.stats().entries_recovered, 1, "one durable entry");
-        let disk = c
-            .registry()
-            .downcast::<DiskBackend>(BackendId::Disk)
-            .unwrap();
+        let disk = c.disk();
         assert!(
             disk.segment_store().contains(hash),
             "recovered store holds the same content-hash key"
@@ -259,10 +251,7 @@ fn spill_keys_are_content_hashes_stable_across_restart() {
     cfg.persist_dir = Some(dir.clone());
     cfg.rehydrate_budget = Some(0);
     let c = LineageCache::new(cfg);
-    let disk = c
-        .registry()
-        .downcast::<DiskBackend>(BackendId::Disk)
-        .unwrap();
+    let disk = c.disk();
     assert_eq!(
         disk.segment_store().durable_digest(),
         digest,
