@@ -76,9 +76,11 @@ stage_test() {
 
 # The gate-scale experiments, once each: every one re-asserts its
 # contract (digest invariance, the p99 drop, zero divergences) and
-# writes the Chrome trace and metrics registry CI uploads.
+# writes the Chrome trace and metrics registry CI uploads. exp_ablations
+# is the one run of maxParallelize on a Spark-placed program and of the
+# delay-factor sweep.
 stage_experiments() {
-    for exp in exp_concurrent exp_serve exp_cluster exp_latency exp_script; do
+    for exp in exp_concurrent exp_serve exp_cluster exp_latency exp_script exp_ablations; do
         cargo run -q --release -p memphis-bench --bin "$exp" -- \
             --trace "$exp.trace.json" --json "$exp.metrics.json"
     done

@@ -8,7 +8,7 @@ use memphis_bench::{
 };
 use memphis_engine::compiler::Ordering;
 use memphis_engine::interp::run_program;
-use memphis_engine::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
+use memphis_engine::plan::{Block, Dag, OpKind, Operand, Program, ScalarRef};
 use memphis_engine::{EngineConfig, ReuseMode};
 use memphis_matrix::ops::binary::BinaryOp;
 use memphis_workloads::harness::Backends;
@@ -68,7 +68,8 @@ fn delayed_caching_ablation() {
     }
 }
 
-/// TLVIS with and without the compiler's `evict(100)` between models.
+/// TLVIS with and without an `evict(100)` between models (the pipeline
+/// places it itself when `evict_between_models` is set).
 fn eviction_injection_ablation() {
     header(
         "Ablation: eviction injection (§5.2)",
@@ -140,10 +141,7 @@ fn ordering_ablation() {
     let mut program = Program::new();
     program.declare("X", 8192, 32);
     program.declare("y", 8192, 1);
-    program.blocks.push(Block::Basic {
-        dag,
-        hints: BlockHints::default(),
-    });
+    program.blocks.push(Block::Basic { dag });
 
     for (label, ordering) in [
         ("depth-first", Ordering::DepthFirst),

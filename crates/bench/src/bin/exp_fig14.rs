@@ -80,9 +80,10 @@ fn hdrop_experiment() {
     ];
     for (label, mut cfg) in configs {
         let b = Backends::with_gpu(bench_gpu(256 << 20));
-        // Delayed caching n=2 (the §5.2 auto-tuner's pick for the
-        // partially loop-dependent training block): never-repeating
-        // training intermediates are not admitted, the repeating IDP is.
+        // Delayed caching n=2, set here by hand (the value §5.2's tuner
+        // picks for a partially loop-dependent training block):
+        // never-repeating training intermediates are not admitted, the
+        // repeating IDP is.
         cfg.delay_factor = 2;
         let mut ctx = b.make_ctx(cfg, bench_cache(64 << 20));
         rows.push(run_timed(label, &mut ctx, |c| hdrop::run(c, &p)).expect("hdrop"));

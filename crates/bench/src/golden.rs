@@ -151,8 +151,9 @@ pub fn run_fig2c(p: &Fig2cParams) -> Fig2cOutcome {
         cfg.spark_threshold_bytes = 0;
         cfg.blen = p.blen;
         cfg.async_ops = false;
-        // Delayed caching n=2 (the §5.2 auto-tuner's choice for partially
-        // reusable blocks): never-repeating RDDs are not persisted.
+        // Delayed caching n=2, set here by hand (the value §5.2's tuner
+        // picks for partially reusable blocks): never-repeating RDDs are
+        // not persisted.
         cfg.delay_factor = 2;
         let mut ctx = b.make_ctx(cfg, bench_cache(p.cache_budget));
         ctx.read("X", m.clone(), "fig2c/X").unwrap();

@@ -1,12 +1,17 @@
-//! Compiler passes (§5): CSE, operator placement, checkpoint placement,
-//! asynchronous-operator insertion, eviction injection, delay-factor
-//! auto-tuning, and operator linearization (depth-first and the
-//! `maxParallelize` ordering of Algorithm 2).
+//! Operator placement and linearization (§5): dimension inference,
+//! tier-driven backend placement, and the depth-first and Algorithm 2
+//! `maxParallelize` orderings. Only `maxParallelize` reads placement.
+//!
+//! No pass here inserts operators or tunes the delay factor: programs
+//! place their own prefetch, broadcast, checkpoint and GPU eviction (the
+//! builder calls on [`ExecutionContext`](crate::context::ExecutionContext),
+//! or DML `checkpoint`/`evict`), and each experiment sets
+//! [`EngineConfig::delay_factor`].
 
 use crate::config::EngineConfig;
 use crate::cost;
 use crate::ops::AggDir;
-use crate::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
+use crate::plan::{Dag, OpKind, Operand};
 use memphis_core::LineageCache;
 use std::collections::HashMap;
 
@@ -49,15 +54,6 @@ impl PlacementCaps {
     /// Driver-local execution only — no remote tiers attached.
     pub fn local_only() -> Self {
         Self::default()
-    }
-
-    /// Every tier available with an unbounded device (test convenience).
-    pub fn all() -> Self {
-        Self {
-            spark: true,
-            gpu: true,
-            gpu_capacity: usize::MAX,
-        }
     }
 
     /// Reads tier availability and device capacity out of the cache.
@@ -115,12 +111,9 @@ pub fn infer_dims(dag: &Dag, var_dims: &HashMap<String, (usize, usize)>) -> Vec<
                 let b = get(&dims, &n.inputs[1]);
                 (a.0.max(b.0), a.1.max(b.1))
             }
-            OpKind::BinaryScalar { .. }
-            | OpKind::Unary(_)
-            | OpKind::Alias
-            | OpKind::Checkpoint
-            | OpKind::Prefetch
-            | OpKind::Broadcast => get(&dims, &n.inputs[0]),
+            OpKind::BinaryScalar { .. } | OpKind::Unary(_) | OpKind::Alias | OpKind::Checkpoint => {
+                get(&dims, &n.inputs[0])
+            }
             OpKind::Agg(_, AggDir::Full) => (1, 1),
             OpKind::Agg(_, AggDir::Row) => (get(&dims, &n.inputs[0]).0, 1),
             OpKind::Agg(_, AggDir::Col) => (1, get(&dims, &n.inputs[0]).1),
@@ -209,347 +202,7 @@ fn opcode_of(kind: &OpKind) -> &'static str {
         OpKind::MaxPool2d(_) => "maxpool",
         OpKind::Affine => "affine",
         OpKind::Checkpoint => "chkpoint",
-        OpKind::Prefetch => "prefetch",
-        OpKind::Broadcast => "broadcast",
         OpKind::Evict(_) => "evict",
-    }
-}
-
-// ----------------------------------------------------------------------
-// CSE
-// ----------------------------------------------------------------------
-
-/// Common subexpression elimination within one DAG: structurally identical
-/// nodes merge; output names accumulate on the representative.
-pub fn cse(dag: &Dag) -> Dag {
-    let mut out = Dag::new();
-    let mut remap: Vec<usize> = Vec::with_capacity(dag.nodes.len());
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    for n in &dag.nodes {
-        let inputs: Vec<Operand> = n
-            .inputs
-            .iter()
-            .map(|o| match o {
-                Operand::Var(v) => Operand::Var(v.clone()),
-                Operand::Node(id) => Operand::Node(remap[*id]),
-            })
-            .collect();
-        let key = format!("{:?}|{:?}", n.kind, inputs);
-        match seen.get(&key) {
-            Some(&rep) => {
-                remap.push(rep);
-                let rep_outputs = &mut out.nodes[rep].outputs;
-                for o in &n.outputs {
-                    if !rep_outputs.contains(o) {
-                        rep_outputs.push(o.clone());
-                    }
-                }
-            }
-            None => {
-                let id = out.add(n.kind.clone(), inputs, None);
-                out.nodes[id].outputs = n.outputs.clone();
-                seen.insert(key, id);
-                remap.push(id);
-            }
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// Rewrites of §5
-// ----------------------------------------------------------------------
-
-/// Prefetch insertion (§5.1): wraps every action-like root of a Spark
-/// operator chain in an asynchronous `Prefetch`, and inserts `Broadcast`
-/// after local producers consumed by Spark operators.
-pub fn insert_async(dag: &Dag, backend: &[Backend]) -> Dag {
-    let mut out = Dag::new();
-    let mut remap: Vec<usize> = Vec::with_capacity(dag.nodes.len());
-    let consumers = dag.consumers();
-    for n in &dag.nodes {
-        let inputs: Vec<Operand> = n
-            .inputs
-            .iter()
-            .map(|o| match o {
-                Operand::Var(v) => Operand::Var(v.clone()),
-                Operand::Node(id) => Operand::Node(remap[*id]),
-            })
-            .collect();
-        let id = out.add(n.kind.clone(), inputs, None);
-        out.nodes[id].outputs = n.outputs.clone();
-        let mut mapped = id;
-        // Action root on Spark, consumed locally → prefetch its result.
-        let is_sp_action = backend[n.id] == Backend::Sp && n.kind.is_action_like();
-        if is_sp_action {
-            let pf = out.add(OpKind::Prefetch, vec![Operand::Node(id)], None);
-            out.nodes[pf].outputs = n.outputs.clone();
-            out.nodes[id].outputs.clear();
-            mapped = pf;
-        }
-        // Local producer feeding a Spark consumer → broadcast it.
-        let feeds_sp = consumers[n.id]
-            .iter()
-            .any(|&c| backend[c] == Backend::Sp && !dag.nodes[c].kind.is_action_like());
-        if backend[n.id] == Backend::Cp && feeds_sp && !matches!(n.kind, OpKind::Broadcast) {
-            let bc = out.add(OpKind::Broadcast, vec![Operand::Node(mapped)], None);
-            out.nodes[bc].outputs = out.nodes[mapped].outputs.clone();
-            out.nodes[mapped].outputs.clear();
-            mapped = bc;
-        }
-        remap.push(mapped);
-    }
-    out
-}
-
-/// Checkpoint placement rewrite 1 (§5.2): when two or more Spark jobs in a
-/// block share a dataflow prefix, persist the last shared Spark operator.
-pub fn insert_shared_checkpoints(dag: &Dag, backend: &[Backend]) -> Dag {
-    // Count, per Spark node, how many distinct action roots consume it
-    // (transitively).
-    let n = dag.nodes.len();
-    let mut reach: Vec<std::collections::HashSet<usize>> = vec![Default::default(); n];
-    let actions: Vec<usize> = dag
-        .nodes
-        .iter()
-        .filter(|nd| nd.kind.is_action_like() && backend[nd.id] == Backend::Sp)
-        .map(|nd| nd.id)
-        .collect();
-    for &a in &actions {
-        // DFS down from the action's inputs.
-        let mut stack: Vec<usize> = dag.nodes[a]
-            .inputs
-            .iter()
-            .filter_map(|o| match o {
-                Operand::Node(id) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        while let Some(i) = stack.pop() {
-            if reach[i].insert(a) {
-                stack.extend(dag.nodes[i].inputs.iter().filter_map(|o| match o {
-                    Operand::Node(id) => Some(*id),
-                    _ => None,
-                }));
-            }
-        }
-    }
-    // Shared Spark nodes: reached by >= 2 actions. Checkpoint the *last*
-    // (highest id) shared one on each chain.
-    let shared: Vec<usize> = (0..n)
-        .filter(|&i| reach[i].len() >= 2 && backend[i] == Backend::Sp)
-        .collect();
-    let checkpoint_targets: std::collections::HashSet<usize> = shared
-        .iter()
-        .copied()
-        .filter(|&i| {
-            // No consumer of i is itself shared by the same action set.
-            !dag.consumers()[i]
-                .iter()
-                .any(|c| shared.contains(c) && reach[*c] == reach[i])
-        })
-        .collect();
-    rewrite_with_checkpoints(dag, &checkpoint_targets)
-}
-
-fn rewrite_with_checkpoints(dag: &Dag, targets: &std::collections::HashSet<usize>) -> Dag {
-    let mut out = Dag::new();
-    let mut remap: Vec<usize> = Vec::with_capacity(dag.nodes.len());
-    for n in &dag.nodes {
-        let inputs: Vec<Operand> = n
-            .inputs
-            .iter()
-            .map(|o| match o {
-                Operand::Var(v) => Operand::Var(v.clone()),
-                Operand::Node(id) => Operand::Node(remap[*id]),
-            })
-            .collect();
-        let id = out.add(n.kind.clone(), inputs, None);
-        out.nodes[id].outputs = n.outputs.clone();
-        if targets.contains(&n.id) {
-            let cp = out.add(OpKind::Checkpoint, vec![Operand::Node(id)], None);
-            out.nodes[cp].outputs = out.nodes[id].outputs.clone();
-            out.nodes[id].outputs.clear();
-            remap.push(cp);
-        } else {
-            remap.push(id);
-        }
-    }
-    out
-}
-
-/// Checkpoint placement rewrite 2 (§5.2): inside a loop, variables that
-/// are updated every iteration and consumed by Spark operators build
-/// ever-growing lazy plans — persist the updated variable at the end of
-/// each iteration (the PNMF pattern of Figure 9(c)).
-pub fn insert_loop_checkpoints(program: &mut Program) {
-    for block in &mut program.blocks {
-        insert_loop_checkpoints_block(block);
-    }
-}
-
-fn insert_loop_checkpoints_block(block: &mut Block) {
-    if let Block::For { body, .. } = block {
-        // Variables written AND read by the loop body (loop-carried).
-        let mut written: Vec<String> = Vec::new();
-        let mut read: Vec<String> = Vec::new();
-        for b in body.iter() {
-            if let Block::Basic { dag, .. } = b {
-                for n in &dag.nodes {
-                    written.extend(n.outputs.iter().cloned());
-                    for i in &n.inputs {
-                        if let Operand::Var(v) = i {
-                            read.push(v.clone());
-                        }
-                    }
-                }
-            }
-        }
-        let carried: Vec<String> = written
-            .iter()
-            .filter(|w| read.contains(w))
-            .cloned()
-            .collect();
-        // Append a checkpoint block for each carried variable.
-        if !carried.is_empty() {
-            let mut dag = Dag::new();
-            for v in carried {
-                dag.add(OpKind::Checkpoint, vec![Operand::Var(v.clone())], Some(&v));
-            }
-            body.push(Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            });
-        }
-        for b in body.iter_mut() {
-            insert_loop_checkpoints_block(b);
-        }
-    }
-}
-
-/// Eviction injection (§5.2): between consecutive loops whose GPU
-/// allocation-size patterns differ, inject an `evict` instruction so the
-/// free lists don't thrash through mismatched recycling.
-pub fn insert_evictions(program: &mut Program, cfg: &EngineConfig, caps: &PlacementCaps) {
-    let mut sizes_prev: Option<Vec<usize>> = None;
-    let mut inserts: Vec<usize> = Vec::new();
-    for (i, block) in program.blocks.iter().enumerate() {
-        if let Block::For { body, .. } = block {
-            let mut sizes: Vec<usize> = Vec::new();
-            for b in body {
-                if let Block::Basic { dag, .. } = b {
-                    let dims = infer_dims(dag, &program.var_dims);
-                    let backend = place(dag, &program.var_dims, cfg, caps);
-                    for n in &dag.nodes {
-                        if backend[n.id] == Backend::Gpu {
-                            let (r, c) = dims[n.id];
-                            sizes.push(cost::dense_bytes(r, c));
-                        }
-                    }
-                }
-            }
-            sizes.sort_unstable();
-            if let Some(prev) = &sizes_prev {
-                if !sizes.is_empty() && *prev != sizes {
-                    inserts.push(i);
-                }
-            }
-            if !sizes.is_empty() {
-                sizes_prev = Some(sizes);
-            }
-        }
-    }
-    for (off, i) in inserts.into_iter().enumerate() {
-        let mut dag = Dag::new();
-        dag.add(OpKind::Evict(1.0), vec![], None);
-        program.blocks.insert(
-            i + off,
-            Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            },
-        );
-    }
-}
-
-/// Delay-factor auto-tuning (§5.2): walks all blocks, estimating execution
-/// frequency and the fraction of loop-dependent operators, then assigns
-/// each basic block's delay factor: n = 1 when >80% of operators are
-/// loop-independent (highly reusable), n = 2 when partially dependent,
-/// n = 4 when fully loop-dependent (not reusable).
-pub fn tune_delays(program: &mut Program) {
-    for block in &mut program.blocks {
-        tune_block(block, 1, &[]);
-    }
-}
-
-fn tune_block(block: &mut Block, exec_estimate: u64, loop_vars: &[String]) {
-    match block {
-        Block::Basic { dag, hints } => {
-            let total = dag.nodes.len().max(1);
-            // A node is loop-dependent if it references a loop variable
-            // scalar or (transitively) such a node.
-            let mut dep = vec![false; dag.nodes.len()];
-            for i in 0..dag.nodes.len() {
-                let n = &dag.nodes[i];
-                let direct = matches!(
-                    &n.kind,
-                    OpKind::BinaryScalar { scalar: ScalarRef::Loop(v), .. } if loop_vars.contains(v)
-                ) || n
-                    .inputs
-                    .iter()
-                    .any(|o| matches!(o, Operand::Var(v) if loop_vars.contains(v)));
-                let transitive = n.inputs.iter().any(|o| match o {
-                    Operand::Node(id) => dep[*id],
-                    _ => false,
-                });
-                dep[i] = direct || transitive;
-            }
-            let frac = dep.iter().filter(|&&d| d).count() as f64 / total as f64;
-            hints.exec_estimate = exec_estimate;
-            hints.loop_dependent_fraction = frac;
-            // Executed once (nothing repeats) or >80% reusable: cache
-            // eagerly; partially loop-dependent blocks defer.
-            hints.delay = if exec_estimate <= 1 || frac <= 0.2 {
-                1
-            } else if frac < 1.0 {
-                2
-            } else {
-                4
-            };
-        }
-        Block::For { var, values, body } => {
-            let trip = values.len().max(1) as u64;
-            let mut vars = loop_vars.to_vec();
-            vars.push(var.clone());
-            for b in body {
-                tune_block(b, exec_estimate.saturating_mul(trip), &vars);
-            }
-        }
-        Block::While {
-            cond_var,
-            max_iterations,
-            body,
-        } => {
-            // Conditional loops: the trip count is unknown at compile
-            // time; assume half the bound and treat the condition variable
-            // as loop-dependent.
-            let trip = (*max_iterations as u64 / 2).max(2);
-            let mut vars = loop_vars.to_vec();
-            vars.push(cond_var.clone());
-            for b in body {
-                tune_block(b, exec_estimate.saturating_mul(trip), &vars);
-            }
-        }
-        Block::If {
-            then_blocks,
-            else_blocks,
-            ..
-        } => {
-            for b in then_blocks.iter_mut().chain(else_blocks.iter_mut()) {
-                tune_block(b, exec_estimate, loop_vars);
-            }
-        }
     }
 }
 
@@ -594,20 +247,19 @@ fn max_parallelize(dag: &Dag, backend: &[Backend]) -> Vec<usize> {
     if backend.iter().all(|&b| b == Backend::Cp) {
         return linearize(dag, backend, Ordering::DepthFirst);
     }
-    // Step 1: chain roots = prefetch nodes, Spark action-likes, and GPU
-    // nodes whose consumers are local (GPU-to-host boundaries).
+    // Step 1: chain roots = Spark action-likes and GPU nodes whose
+    // consumers are local (GPU-to-host boundaries).
     let consumers = dag.consumers();
     let mut roots: Vec<usize> = Vec::new();
     for node in &dag.nodes {
         let i = node.id;
-        let is_prefetch = matches!(node.kind, OpKind::Prefetch);
         let is_sp_root = backend[i] == Backend::Sp
             && (node.kind.is_action_like()
                 || consumers[i].iter().all(|&c| backend[c] != Backend::Sp));
         let is_gpu_root = backend[i] == Backend::Gpu
             && (consumers[i].is_empty()
                 || consumers[i].iter().all(|&c| backend[c] != Backend::Gpu));
-        if is_prefetch || is_sp_root || is_gpu_root {
+        if is_sp_root || is_gpu_root {
             roots.push(i);
         }
     }
@@ -650,6 +302,7 @@ fn max_parallelize(dag: &Dag, backend: &[Backend]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ScalarRef;
     use memphis_matrix::ops::binary::BinaryOp;
     use memphis_matrix::ops::unary::UnaryOp;
 
@@ -757,146 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn cse_merges_identical_nodes() {
-        let mut d = Dag::new();
-        let t1 = d.add(OpKind::Tsmm, vec![Operand::Var("X".into())], Some("a"));
-        let _t2 = d.add(OpKind::Tsmm, vec![Operand::Var("X".into())], Some("b"));
-        let _u = d.add(
-            OpKind::Unary(UnaryOp::Relu),
-            vec![Operand::Node(t1)],
-            Some("c"),
-        );
-        let out = cse(&d);
-        assert_eq!(out.nodes.len(), 2);
-        assert!(out.nodes[0].outputs.contains(&"a".to_string()));
-        assert!(out.nodes[0].outputs.contains(&"b".to_string()));
-    }
-
-    #[test]
-    fn prefetch_inserted_after_spark_actions() {
-        let d = linreg_dag(ScalarRef::Const(0.1));
-        let mut vd = HashMap::new();
-        vd.insert("X".into(), (1000, 10));
-        vd.insert("y".into(), (1000, 1));
-        let backend = place(&d, &vd, &cfg_sp(1024), &sp_caps());
-        let out = insert_async(&d, &backend);
-        let prefetches = out
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, OpKind::Prefetch))
-            .count();
-        assert_eq!(prefetches, 2, "one per Spark job (tsmm, xty)");
-    }
-
-    #[test]
-    fn shared_checkpoint_between_overlapping_jobs() {
-        // Two actions over a shared Spark elementwise prefix.
-        let mut d = Dag::new();
-        let e = d.add(
-            OpKind::Unary(UnaryOp::Exp),
-            vec![Operand::Var("X".into())],
-            None,
-        );
-        d.add(OpKind::Tsmm, vec![Operand::Node(e)], Some("g"));
-        d.add(
-            OpKind::Agg(memphis_matrix::ops::agg::AggOp::Sum, AggDir::Full),
-            vec![Operand::Node(e)],
-            Some("s"),
-        );
-        let mut vd = HashMap::new();
-        vd.insert("X".into(), (1000, 10));
-        let backend = place(&d, &vd, &cfg_sp(1024), &sp_caps());
-        let out = insert_shared_checkpoints(&d, &backend);
-        let cps = out
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, OpKind::Checkpoint))
-            .count();
-        assert_eq!(cps, 1, "the shared exp(X) gets persisted");
-    }
-
-    #[test]
-    fn loop_checkpoints_for_updated_variables() {
-        // while-style loop updating W (the PNMF pattern).
-        let mut body_dag = Dag::new();
-        body_dag.add(
-            OpKind::BinaryScalar {
-                op: BinaryOp::Mul,
-                scalar: ScalarRef::Const(1.01),
-                swap: false,
-            },
-            vec![Operand::Var("W".into())],
-            Some("W"),
-        );
-        let mut p = Program::new();
-        p.declare("W", 100_000, 10);
-        p.blocks.push(Block::For {
-            var: "i".into(),
-            values: (0..5).map(|v| v as f64).collect(),
-            body: vec![Block::Basic {
-                dag: body_dag,
-                hints: BlockHints::default(),
-            }],
-        });
-        insert_loop_checkpoints(&mut p);
-        let Block::For { body, .. } = &p.blocks[0] else {
-            panic!("for loop expected")
-        };
-        assert_eq!(body.len(), 2, "checkpoint block appended");
-        let Block::Basic { dag, .. } = &body[1] else {
-            panic!("basic expected")
-        };
-        assert!(matches!(dag.nodes[0].kind, OpKind::Checkpoint));
-        assert_eq!(dag.nodes[0].outputs, vec!["W".to_string()]);
-    }
-
-    #[test]
-    fn delay_tuning_by_loop_dependence() {
-        // Block A: reg-independent (tsmm of X) → delay 1.
-        let mut a = Dag::new();
-        a.add(OpKind::Tsmm, vec![Operand::Var("X".into())], Some("g"));
-        // Block B: depends on the loop variable → delay 4.
-        let mut b = Dag::new();
-        b.add(
-            OpKind::BinaryScalar {
-                op: BinaryOp::Mul,
-                scalar: ScalarRef::Loop("reg".into()),
-                swap: false,
-            },
-            vec![Operand::Var("g".into())],
-            Some("h"),
-        );
-        let mut p = Program::new();
-        p.blocks.push(Block::For {
-            var: "reg".into(),
-            values: vec![0.1, 0.2],
-            body: vec![
-                Block::Basic {
-                    dag: a,
-                    hints: BlockHints::default(),
-                },
-                Block::Basic {
-                    dag: b,
-                    hints: BlockHints::default(),
-                },
-            ],
-        });
-        tune_delays(&mut p);
-        let Block::For { body, .. } = &p.blocks[0] else {
-            panic!()
-        };
-        let Block::Basic { hints: ha, .. } = &body[0] else {
-            panic!()
-        };
-        let Block::Basic { hints: hb, .. } = &body[1] else {
-            panic!()
-        };
-        assert_eq!(ha.delay, 1, "loop-independent block caches eagerly");
-        assert_eq!(hb.delay, 4, "fully loop-dependent block defers");
-        assert_eq!(ha.exec_estimate, 2);
-    }
-
-    #[test]
     fn max_parallelize_orders_longer_chains_first() {
         // Job1: exp → tsmm (2 remote ops); Job2: xty (1 remote op).
         let mut d = Dag::new();
@@ -922,41 +435,5 @@ mod tests {
         // Depth-first baseline covers all nodes too.
         let df = linearize(&d, &backend, Ordering::DepthFirst);
         assert_eq!(df.len(), 3);
-    }
-
-    #[test]
-    fn eviction_injected_between_shifting_gpu_loops() {
-        // Two loops with different GPU matmul output sizes (the ensemble
-        // pattern of Figure 9(b)).
-        let mk_loop = |cols: usize| -> Block {
-            let mut d = Dag::new();
-            d.add(
-                OpKind::MatMul,
-                vec![Operand::Var("B".into()), Operand::Var(format!("W{cols}"))],
-                Some("h"),
-            );
-            Block::For {
-                var: "i".into(),
-                values: vec![0.0, 1.0],
-                body: vec![Block::Basic {
-                    dag: d,
-                    hints: BlockHints::default(),
-                }],
-            }
-        };
-        let mut p = Program::new();
-        p.declare("B", 128, 64);
-        p.declare("W64", 64, 64);
-        p.declare("W128", 64, 128);
-        p.blocks.push(mk_loop(64));
-        p.blocks.push(mk_loop(128));
-        let mut cfg = EngineConfig::test();
-        cfg.gpu_min_cells = 1;
-        insert_evictions(&mut p, &cfg, &PlacementCaps::all());
-        assert_eq!(p.blocks.len(), 3, "evict block inserted between loops");
-        let Block::Basic { dag, .. } = &p.blocks[1] else {
-            panic!("evict block expected")
-        };
-        assert!(matches!(dag.nodes[0].kind, OpKind::Evict(_)));
     }
 }

@@ -67,8 +67,8 @@ pub struct EngineConfig {
     /// Place dense compute-intensive operations on the GPU when a device
     /// is attached and the output has at least this many cells.
     pub gpu_min_cells: usize,
-    /// Default delayed-caching factor n (overridden per block by the
-    /// auto-tuner).
+    /// Delayed-caching factor n (§5.2): a result is admitted on its n-th
+    /// execution. Every instruction of the context uses it.
     pub delay_factor: u32,
     /// Block side length for distributed blocked matrices.
     pub blen: usize,

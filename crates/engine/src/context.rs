@@ -106,7 +106,6 @@ pub struct ExecutionContext {
     pub(crate) vars: HashMap<String, Binding>,
     pub(crate) sc: Option<SparkContext>,
     pub(crate) gpu: Option<Arc<GpuDevice>>,
-    pub(crate) delay: u32,
     /// Lineage item of the instruction currently executing (lets
     /// asynchronous action threads PUT their result when it arrives).
     pub(crate) current_item: Option<LItem>,
@@ -122,7 +121,6 @@ impl ExecutionContext {
         sc: Option<SparkContext>,
         gpu: Option<Arc<GpuDevice>>,
     ) -> Self {
-        let delay = cfg.delay_factor;
         Self {
             cfg,
             cache,
@@ -130,7 +128,6 @@ impl ExecutionContext {
             vars: HashMap::new(),
             sc,
             gpu,
-            delay,
             current_item: None,
             stats: EngineStats::default(),
         }
@@ -162,17 +159,6 @@ impl ExecutionContext {
     /// Engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Sets the delayed-caching factor for subsequent instructions (the
-    /// per-block value assigned by the auto-tuner, §5.2).
-    pub fn set_delay(&mut self, n: u32) {
-        self.delay = n.max(1);
-    }
-
-    /// Current delayed-caching factor.
-    pub fn delay(&self) -> u32 {
-        self.delay
     }
 
     // ------------------------------------------------------------------
@@ -355,7 +341,7 @@ impl ExecutionContext {
                         .map(|(r, c)| cost::dense_bytes(r, c))
                         .unwrap_or(16);
                     let admit = Admit {
-                        delay: self.delay,
+                        delay: self.cfg.delay_factor,
                         ..Admit::new(cost_v, size_hint)
                     };
                     match guard.take() {
@@ -611,8 +597,9 @@ impl ExecutionContext {
         self.cache.evict_gpu_fraction(fraction);
     }
 
-    /// `checkpoint`: compiler-placed `persist()` on a distributed variable
-    /// (§5.2). Counts toward the lineage cache's RDD budget accounting.
+    /// `checkpoint`: `persist()` on a distributed variable (§5.2), placed
+    /// by the program. Counts toward the lineage cache's RDD budget
+    /// accounting.
     pub fn checkpoint(&mut self, var: &str) -> Result<()> {
         let b = self.binding(var)?;
         if let Value::Rdd {

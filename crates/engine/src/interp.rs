@@ -1,6 +1,7 @@
 //! Program interpreter: executes compiled programs block-by-block against
-//! an [`ExecutionContext`], honoring the compiler's linearization order,
-//! per-block delay factors, and inserted cache-management operators.
+//! an [`ExecutionContext`] in the chosen linearization order. Delayed
+//! caching runs at the context's `delay_factor`; `checkpoint` and `evict`
+//! nodes run the program's own cache-management operators.
 
 use crate::compiler::{linearize, place, Ordering, PlacementCaps};
 use crate::context::{EngineError, ExecutionContext, Result};
@@ -26,13 +27,7 @@ fn run_block(
     ordering: Ordering,
 ) -> Result<()> {
     match block {
-        Block::Basic { dag, hints } => {
-            let saved_delay = ctx.delay();
-            ctx.set_delay(hints.delay);
-            let result = run_dag(ctx, program, dag, ordering);
-            ctx.set_delay(saved_delay);
-            result
-        }
+        Block::Basic { dag } => run_dag(ctx, program, dag, ordering),
         Block::For { var, values, body } => {
             for &v in values {
                 ctx.literal(var, v)?;
@@ -83,10 +78,15 @@ fn run_dag(
     dag: &Dag,
     ordering: Ordering,
 ) -> Result<()> {
-    // Tier-driven placement: ask the cache which tiers are attached (and
-    // how big the device is) instead of probing context fields.
-    let caps = PlacementCaps::of(ctx.cache());
-    let backend = place(dag, &program.var_dims, ctx.config(), &caps);
+    // Only maxParallelize reads placement. It is tier-driven: ask the
+    // cache which tiers are attached (and how big the device is).
+    let backend = match ordering {
+        Ordering::DepthFirst => Vec::new(),
+        Ordering::MaxParallelize => {
+            let caps = PlacementCaps::of(ctx.cache());
+            place(dag, &program.var_dims, ctx.config(), &caps)
+        }
+    };
     let order = linearize(dag, &backend, ordering);
 
     let name_of = |id: usize| -> String {
@@ -153,21 +153,10 @@ fn run_dag(
                     ctx.assign(&out, &ins[0])?;
                 }
             }
-            OpKind::Prefetch => {
-                ctx.prefetch(&ins[0])?;
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
-            OpKind::Broadcast => {
-                ctx.broadcast(&ins[0])?;
-                if out != ins[0] {
-                    ctx.assign(&out, &ins[0])?;
-                }
-            }
             OpKind::Evict(fraction) => ctx.evict_gpu(*fraction),
         }
-        // Additional output bindings from CSE merges.
+        // Further variables bound to the same node (the script lowering
+        // publishes every name that still points at it).
         for alias in node.outputs.iter().skip(1) {
             ctx.assign(alias, &out)?;
         }
@@ -180,10 +169,11 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::ops::AggDir;
-    use crate::plan::BlockHints;
     use memphis_matrix::ops::agg::AggOp;
     use memphis_matrix::ops::binary::BinaryOp;
     use memphis_matrix::rand_gen::rand_uniform;
+    use memphis_sparksim::{SparkConfig, SparkContext};
+    use std::sync::Arc;
 
     /// Grid-search linear regression as a compiled program (Example 4.1).
     fn linreg_program(regs: &[f64], rows: usize, cols: usize) -> Program {
@@ -214,10 +204,7 @@ mod tests {
         p.blocks.push(Block::For {
             var: "reg".into(),
             values: regs.to_vec(),
-            body: vec![Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            }],
+            body: vec![Block::Basic { dag }],
         });
         p
     }
@@ -293,10 +280,7 @@ mod tests {
         p.blocks.push(Block::While {
             cond_var: "cond".into(),
             max_iterations: 100,
-            body: vec![Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            }],
+            body: vec![Block::Basic { dag }],
         });
         run_program(&mut ctx, &p, Ordering::DepthFirst).unwrap();
         // Sum halves each iteration from ~60: needs ~6-7 iterations.
@@ -321,10 +305,7 @@ mod tests {
                 vec![Operand::Var("X".into())],
                 Some("Y"),
             );
-            vec![Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            }]
+            vec![Block::Basic { dag }]
         };
         for (cond, factor) in [(1.0, 10.0), (0.0, 100.0)] {
             let mut p = Program::new();
@@ -362,13 +343,58 @@ mod tests {
         );
         let mut p = Program::new();
         p.declare("X", 10, 4);
-        p.blocks.push(Block::Basic {
-            dag,
-            hints: BlockHints::default(),
-        });
+        p.blocks.push(Block::Basic { dag });
         run_program(&mut ctx, &p, Ordering::MaxParallelize).unwrap();
         let s = ctx.get_scalar("s").unwrap();
         let expected: f64 = x.values().iter().map(|v| v.exp()).sum();
         assert!((s - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn programs_run_at_the_contexts_delay_factor() {
+        // G = tsmm(X) once: n=1 stores on the first execution, n=2 only
+        // leaves a placeholder.
+        for (delay, want) in [(1, (0, 1)), (2, (1, 0))] {
+            let mut cfg = EngineConfig::test();
+            cfg.delay_factor = delay;
+            let mut ctx = ExecutionContext::local(cfg);
+            ctx.read("X", rand_uniform(16, 4, -1.0, 1.0, 8), "X")
+                .unwrap();
+            let mut dag = Dag::new();
+            dag.add(OpKind::Tsmm, vec![Operand::Var("X".into())], Some("G"));
+            let mut p = Program::new();
+            p.declare("X", 16, 4);
+            p.blocks.push(Block::Basic { dag });
+            run_program(&mut ctx, &p, Ordering::DepthFirst).unwrap();
+            let r = ctx.cache().stats();
+            assert_eq!((r.puts_deferred, r.puts), want, "delay_factor {delay}");
+        }
+    }
+
+    #[test]
+    fn orderings_agree_on_a_spark_placed_program() {
+        // X is 32 KiB against a 1 KiB threshold: tsmm and xty run as
+        // Spark jobs, so maxParallelize takes its remote branch.
+        let run = |ordering: Ordering| {
+            let sc = SparkContext::new(SparkConfig::local_test());
+            let cache = Arc::new(
+                memphis_core::LineageCache::new(memphis_core::cache::config::CacheConfig::test())
+                    .with_spark_sync(sc.clone()),
+            );
+            let mut cfg = EngineConfig::test();
+            cfg.spark_threshold_bytes = 1 << 10;
+            let mut ctx = ExecutionContext::new(cfg, cache, Some(sc.clone()), None);
+            ctx.read("X", rand_uniform(512, 8, -1.0, 1.0, 9), "X")
+                .unwrap();
+            ctx.read("y", rand_uniform(512, 1, -1.0, 1.0, 10), "y")
+                .unwrap();
+            let p = linreg_program(&[0.1, 0.2], 512, 8);
+            run_program(&mut ctx, &p, ordering).unwrap();
+            let w = ctx.get_matrix("w").unwrap();
+            (w.fingerprint(), ctx.stats.instructions, sc.stats().jobs)
+        };
+        let depth_first = run(Ordering::DepthFirst);
+        assert!(depth_first.2 > 0, "Spark ran jobs");
+        assert_eq!(run(Ordering::MaxParallelize), depth_first);
     }
 }

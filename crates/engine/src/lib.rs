@@ -11,10 +11,11 @@
 //!   (`prefetch`, `broadcast`) returning future objects, plus multi-level
 //!   (function) reuse of §3.3.
 //! - [`plan`] — operator DAGs and program blocks (the compiler's view).
-//! - [`compiler`] — the §5 rewrites: CSE, operator placement, prefetch and
-//!   broadcast insertion, RDD checkpoint placement, eviction injection,
-//!   delay-factor auto-tuning, and the `maxParallelize` linearization of
-//!   Algorithm 2.
+//! - [`compiler`] — operator placement and linearization: depth-first, or
+//!   the `maxParallelize` ordering of Algorithm 2. The other §5 decisions
+//!   are the program's own: it calls `prefetch`, `broadcast`, `checkpoint`
+//!   and `evict_gpu` where it wants them, and each experiment sets
+//!   [`EngineConfig::delay_factor`].
 //! - [`interp`] — executes compiled programs against an execution context.
 
 pub mod compiler;

@@ -189,7 +189,7 @@ impl ExecutionContext {
         let cache = self.cache.clone();
         let item = self.current_item.clone();
         let puts = self.cfg.reuse.puts_ops() && self.cfg.reuse.multibackend();
-        let delay = self.delay;
+        let delay = self.cfg.delay_factor;
         std::thread::spawn(move || {
             let m = f();
             if puts {

@@ -84,13 +84,11 @@ pub enum OpKind {
     MaxPool2d(Pool2dParams),
     /// Fully-connected layer `X %*% W + b` (inputs: X, W, b).
     Affine,
-    /// Compiler-inserted `persist()` on the input (checkpoint, §5.2).
+    /// `persist()` on the input (checkpoint, §5.2); DML `checkpoint(x)`
+    /// lowers to it.
     Checkpoint,
-    /// Compiler-inserted asynchronous prefetch of the input (§5.1).
-    Prefetch,
-    /// Compiler-inserted asynchronous broadcast of the input (§5.1).
-    Broadcast,
-    /// Compiler-inserted GPU cache cleanup with a fraction (§5.2).
+    /// GPU cache cleanup with a fraction (§5.2); DML `evict(p)` lowers to
+    /// it.
     Evict(f64),
 }
 
@@ -127,7 +125,8 @@ pub struct Node {
     pub kind: OpKind,
     /// Inputs.
     pub inputs: Vec<Operand>,
-    /// Variables this node's output is bound to (CSE may merge several).
+    /// Variables this node's output is bound to (the first names it; the
+    /// rest alias it).
     pub outputs: Vec<String>,
 }
 
@@ -183,27 +182,6 @@ impl Dag {
     }
 }
 
-/// Per-block compiler hints (delay factor, §5.2 auto-tuning output).
-#[derive(Debug, Clone)]
-pub struct BlockHints {
-    /// Delayed-caching factor n assigned to this block.
-    pub delay: u32,
-    /// Estimated executions of this block (product of loop trip counts).
-    pub exec_estimate: u64,
-    /// Fraction of the block's operators that are loop-dependent.
-    pub loop_dependent_fraction: f64,
-}
-
-impl Default for BlockHints {
-    fn default() -> Self {
-        Self {
-            delay: 1,
-            exec_estimate: 1,
-            loop_dependent_fraction: 0.0,
-        }
-    }
-}
-
 /// A program block.
 #[derive(Debug, Clone)]
 pub enum Block {
@@ -211,8 +189,6 @@ pub enum Block {
     Basic {
         /// The computation.
         dag: Dag,
-        /// Compiler hints.
-        hints: BlockHints,
     },
     /// Counted loop binding `var` to each value in order.
     For {

@@ -215,8 +215,10 @@ impl GpuDevice {
         {
             let mut arena = self.arena.lock();
             arena.free(ptr.addr).ok_or(GpuError::InvalidPointer)?;
+            // Drop the data before the arena lock goes: from then on another
+            // host thread may allocate this range and upload into it.
+            self.data.lock().remove(&ptr.addr);
         }
-        self.data.lock().remove(&ptr.addr);
         if !self.cfg.free_overhead.is_zero() {
             std::thread::sleep(self.cfg.free_overhead);
         }

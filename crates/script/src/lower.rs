@@ -23,7 +23,7 @@
 use crate::ast::{Arg, BinOp, Expr, FuncDef, Script, SeqSpec, Stmt, Ty};
 use crate::{Result, ScriptError, Span};
 use memphis_engine::ops::AggDir;
-use memphis_engine::plan::{Block, BlockHints, Dag, OpKind, Operand, Program, ScalarRef};
+use memphis_engine::plan::{Block, Dag, OpKind, Operand, Program, ScalarRef};
 use memphis_matrix::ops::agg::AggOp;
 use memphis_matrix::ops::binary::BinaryOp;
 use memphis_matrix::ops::nn::{Conv2dParams, Pool2dParams};
@@ -65,7 +65,7 @@ impl Compiled {
         }
         fn block(b: &Block) -> u64 {
             match b {
-                Block::Basic { dag, .. } => dag.nodes.len() as u64,
+                Block::Basic { dag } => dag.nodes.len() as u64,
                 Block::For { body, .. } | Block::While { body, .. } => blocks(body),
                 Block::If {
                     then_blocks,
@@ -194,10 +194,7 @@ impl Lowerer {
                 }
             }
             let dag = std::mem::take(&mut self.dag);
-            self.blocks.push(Block::Basic {
-                dag,
-                hints: BlockHints::default(),
-            });
+            self.blocks.push(Block::Basic { dag });
         }
         self.dag_names.clear();
         let names: Vec<String> = self.env.keys().cloned().collect();
@@ -406,10 +403,7 @@ impl Lowerer {
                     vec![Operand::Var(name.clone())],
                     Some(name),
                 );
-                self.blocks.push(Block::Basic {
-                    dag,
-                    hints: BlockHints::default(),
-                });
+                self.blocks.push(Block::Basic { dag });
                 Ok(())
             }
             Stmt::Evict { fraction, span } => {
@@ -422,10 +416,7 @@ impl Lowerer {
                 self.flush();
                 let mut dag = Dag::new();
                 dag.add(OpKind::Evict(*fraction), vec![], None);
-                self.blocks.push(Block::Basic {
-                    dag,
-                    hints: BlockHints::default(),
-                });
+                self.blocks.push(Block::Basic { dag });
                 Ok(())
             }
         }

@@ -3,8 +3,9 @@
 //! `X ≈ W H` with multiplicative updates. `W` is distributed (tall), `H`
 //! local. Without checkpointing, every iteration's jobs lazily re-execute
 //! the whole update history (`W_i` depends on `W_{i-1}` RDDs), producing
-//! the super-linear slowdown of Base/LIMA past ~30 iterations; MEMPHIS's
-//! loop checkpoint rewrite persists `W` each iteration (§5.2).
+//! the super-linear slowdown of Base/LIMA past ~30 iterations; under MPH
+//! the pipeline persists `W` each iteration, where §5.2's loop-checkpoint
+//! rewrite would.
 
 use crate::data;
 use memphis_engine::context::Result;
@@ -28,8 +29,8 @@ pub struct PnmfParams {
     pub density: f64,
     /// Dataset seed.
     pub seed: u64,
-    /// Apply the compiler's loop-checkpoint rewrite (persist W per
-    /// iteration) — on for MPH, off for Base/LIMA.
+    /// Checkpoint W after each update (where §5.2's loop-checkpoint
+    /// rewrite would place it) — on for MPH, off for Base/LIMA.
     pub checkpoint: bool,
 }
 
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn checkpointing_bounds_task_growth() {
-        // Under Base (no runtime reuse), the compiler-placed checkpoint is
+        // Under Base (no runtime reuse), the per-iteration checkpoint is
         // the only thing bounding the lazy re-execution of prior
         // iterations — the Figure 13(b) effect. (Under full MEMPHIS, RDD
         // caching subsumes it.)

@@ -1,9 +1,9 @@
 //! TLVIS: transfer-learning feature extraction from multiple pre-trained
 //! CNNs (Figure 14(d)). For each model, features are extracted at several
 //! candidate layers over the same frozen prefix — MEMPHIS reuses the
-//! shared forward computation, and the compiler's eviction injection
-//! clears the GPU free lists between models whose allocation patterns
-//! differ (Figure 9(b)).
+//! shared forward computation, and an `evict` the pipeline places between
+//! models (where §5.2's eviction injection would) clears the GPU free
+//! lists when their allocation patterns differ (Figure 9(b)).
 
 use crate::builtins;
 use crate::data;
@@ -24,8 +24,8 @@ pub struct TlvisParams {
     pub dup_rate: f64,
     /// Dataset seed.
     pub seed: u64,
-    /// Insert `evict(100%)` between models (the compiler rewrite; on for
-    /// MPH, off for the no-eviction ablation).
+    /// Place `evict(100%)` between models (where §5.2's eviction
+    /// injection would; on for MPH, off for the no-eviction ablation).
     pub evict_between_models: bool,
 }
 

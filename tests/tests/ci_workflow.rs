@@ -115,6 +115,8 @@ fn workflow_uploads_observability_artifacts() {
     assert!(y.contains("exp_latency.metrics.json"));
     assert!(y.contains("exp_script.trace.json"));
     assert!(y.contains("exp_script.metrics.json"));
+    assert!(y.contains("exp_ablations.trace.json"));
+    assert!(y.contains("exp_ablations.metrics.json"));
 
     // The experiments stage writes every uploaded artifact: it runs
     // each experiment once with both observability flags.
